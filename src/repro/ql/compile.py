@@ -20,6 +20,12 @@ the work by what can actually change between calls:
 * **per value assignment** (:meth:`BoundTree.evaluate`): write the values
   onto the working copy in place (no ``tree.copy()``), filter the cached
   structural bindings through the conditions, and instantiate the output.
+* **per verdict** (:meth:`BoundTree.verdict_key`): the set of structural
+  rows that survive the conditions, computed over interned value codes
+  (:func:`repro.trees.values.enumerate_value_codes`) without touching the
+  tree.  Only this set decides the output's labeled shape, so the search
+  memoizes passing verdicts on it and skips ``evaluate`` and validation
+  for every further assignment with the same key.
 
 Soundness of the alphabet widening: for a fixed word ``w`` over the
 candidate tree's labels, membership in the language of a regex over
@@ -45,7 +51,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from time import perf_counter
-from typing import Any, Iterable, Optional, Sequence, Union
+from typing import Any, Iterable, Iterator, Optional, Sequence, Union
 
 from repro.ql.analysis import (
     condition_variables,
@@ -53,7 +59,7 @@ from repro.ql.analysis import (
     has_data_conditions,
     value_relevant_tags,
 )
-from repro.ql.ast import ConstructNode, NestedQuery, Query
+from repro.ql.ast import Const, ConstructNode, NestedQuery, Query
 from repro.ql.eval import Binding, _condition_holds, _single_root
 from repro.trees.data_tree import DataTree, Node
 
@@ -87,7 +93,15 @@ class _CompiledEdge:
 class _CompiledSub:
     """The per-(sub)query artifacts the evaluator needs per binding set."""
 
-    __slots__ = ("query", "root_tag", "edges", "conditions", "var_order", "free_order")
+    __slots__ = (
+        "query",
+        "root_tag",
+        "edges",
+        "conditions",
+        "var_order",
+        "free_order",
+        "nested",
+    )
 
     def __init__(self, query: Query, alphabet: frozenset[str]) -> None:
         self.query = query
@@ -96,6 +110,40 @@ class _CompiledSub:
         self.conditions = tuple(query.where.conditions)
         self.var_order = query.where.variables()
         self.free_order = tuple(query.free_vars)
+        # Nested-query leaves of the construct clause, depth-first.
+        self.nested: tuple[NestedQuery, ...] = tuple(_nested_leaves(query.construct))
+
+
+def _nested_leaves(cnode: ConstructNode) -> Iterator[NestedQuery]:
+    for child in cnode.children:
+        if isinstance(child, ConstructNode):
+            yield from _nested_leaves(child)
+        else:
+            yield child
+
+
+class _KeyTable:
+    """The structural rows of one ``(subquery, restriction)`` with their
+    conditions compiled to value-code slots, for :meth:`BoundTree.verdict_key`.
+
+    ``checks[i]`` lists row ``i``'s conditions as ``(left slot, right,
+    is_eq)``: ``right >= 0`` is a slot, ``right < 0`` a constant's code.
+    ``restrictions[i][j]`` is row ``i``'s projection onto nested leaf
+    ``j``'s arguments (node positions); ``visits`` memoizes, per surviving
+    mask, the nested tables that mask leads into, in evaluation order.
+    """
+
+    __slots__ = ("sub", "checks", "restrictions", "visits")
+
+    def __init__(self, sub: _CompiledSub, checks: list, restrictions: list) -> None:
+        self.sub = sub
+        self.checks = checks
+        self.restrictions = restrictions
+        self.visits: dict[int, tuple["_KeyTable", ...]] = {}
+
+
+class _Unkeyable(Exception):
+    """A condition compares a node outside the enumerated value slots."""
 
 
 class CompiledQuery:
@@ -135,12 +183,22 @@ class CompiledQuery:
         # price of the artifact actually in use.
         self.compile_seconds = perf_counter() - t0
 
-    def bind(self, tree: Union[DataTree, Node], stats: Any = None) -> "BoundTree":
+    def bind(
+        self,
+        tree: Union[DataTree, Node],
+        stats: Any = None,
+        value_positions: Optional[Sequence[int]] = None,
+    ) -> "BoundTree":
         """A per-label-tree evaluation context (one copy, reused across
         every value assignment).  ``stats`` may be a
         :class:`~repro.typecheck.result.SearchStats` whose
-        ``cache_hits``/``cache_misses`` counters this context bumps."""
-        return BoundTree(self, tree, stats)
+        ``cache_hits``/``cache_misses`` counters this context bumps.
+
+        ``value_positions`` (document-order node positions, one per value
+        code) enables :meth:`BoundTree.verdict_key`; the conditions are
+        compiled against those slots here, and only when the query has
+        data conditions."""
+        return BoundTree(self, tree, stats, value_positions)
 
 
 class BoundTree:
@@ -152,9 +210,27 @@ class BoundTree:
     never mutated and no per-assignment copy is made.
     """
 
-    __slots__ = ("cq", "root", "nodes", "order", "stats", "_targets", "_structural")
+    __slots__ = (
+        "cq",
+        "root",
+        "nodes",
+        "order",
+        "stats",
+        "passing",
+        "_targets",
+        "_structural",
+        "_slots",
+        "_const_codes",
+        "_top",
+    )
 
-    def __init__(self, cq: CompiledQuery, tree: Union[DataTree, Node], stats: Any) -> None:
+    def __init__(
+        self,
+        cq: CompiledQuery,
+        tree: Union[DataTree, Node],
+        stats: Any,
+        value_positions: Optional[Sequence[int]] = None,
+    ) -> None:
         self.cq = cq
         source_root = tree.root if isinstance(tree, DataTree) else tree
         self.root = source_root.copy()
@@ -166,6 +242,21 @@ class BoundTree:
         # (subquery identity, gamma projected to node positions) ->
         # structural bindings (sorted, deduped, conditions NOT applied).
         self._structural: dict[tuple[int, tuple[int, ...]], list[Binding]] = {}
+        # Verdict keys whose outcome passed (see verdict_key); None when
+        # the context computes no keys.
+        self.passing: Optional[set[Any]] = None
+        self._top: Optional[_KeyTable] = None
+        if value_positions is not None and cq.needs_values:
+            self._slots = {id(self.nodes[p]): i for i, p in enumerate(value_positions)}
+            self._const_codes = {
+                v: -1 - k for k, v in enumerate(dict.fromkeys(cq.constants))
+            }
+            try:
+                self._top = self._key_table(cq._subs[id(cq.query)], {})
+            except _Unkeyable:
+                pass
+            else:
+                self.passing = set()
 
     # -- per-assignment entry -------------------------------------------------
 
@@ -183,6 +274,97 @@ class BoundTree:
         if not forest:
             return None
         return DataTree(_single_root(forest))
+
+    def verdict_key(self, codes: Sequence[int]) -> Any:
+        """Which structural rows survive the conditions under the value
+        codes ``codes`` (one per ``value_positions`` slot), for the outer
+        query and, recursively, for every ``(nested query, restriction)``
+        the construction visits.
+
+        Two assignments with equal keys give outputs of identical labeled
+        shape: instantiation groups rows by node identity and reads only
+        labels (values only through ``val(x)``), so the surviving rows fix
+        every output node's label and children.  A validator that reads
+        only labels therefore reaches the same verdict on both.
+
+        ``None`` means no key: a nested condition reads a node outside the
+        value slots (the caller then evaluates in full).
+        """
+        top = self._top
+        mask = self._survivors(top, codes)
+        if not top.sub.nested:
+            return mask
+        out: list[int] = []
+        try:
+            self._nested_key(top, mask, codes, out)
+        except _Unkeyable:
+            return None
+        return tuple(out)
+
+    @staticmethod
+    def _survivors(table: _KeyTable, codes: Sequence[int]) -> int:
+        mask = 0
+        bit = 1
+        for checks in table.checks:
+            for left, right, eq in checks:
+                if (codes[left] == (codes[right] if right >= 0 else right)) is not eq:
+                    break
+            else:
+                mask |= bit
+            bit <<= 1
+        return mask
+
+    def _nested_key(
+        self, table: _KeyTable, mask: int, codes: Sequence[int], out: list[int]
+    ) -> None:
+        # Flat pre-order encoding: a table's mask decides which nested
+        # tables follow it, so equal sequences mean equal visits.
+        out.append(mask)
+        visits = table.visits.get(mask)
+        if visits is None:
+            visits = self._visits(table, mask)
+            table.visits[mask] = visits
+        for child in visits:
+            self._nested_key(child, self._survivors(child, codes), codes, out)
+
+    def _visits(self, table: _KeyTable, mask: int) -> tuple[_KeyTable, ...]:
+        """The nested tables that the surviving rows ``mask`` visit, in
+        construct order, each distinct restriction once."""
+        nodes = self.nodes
+        out: list[_KeyTable] = []
+        for j, nested in enumerate(table.sub.nested):
+            sub = self.cq._subs[id(nested.query)]
+            seen = sorted(
+                {r[j] for i, r in enumerate(table.restrictions) if mask >> i & 1}
+            )
+            for restriction in seen:
+                gamma = {a: nodes[p] for a, p in zip(nested.args, restriction)}
+                out.append(self._key_table(sub, gamma))
+        return tuple(out)
+
+    def _key_table(self, sub: _CompiledSub, gamma: Binding) -> _KeyTable:
+        slots = self._slots
+        const_codes = self._const_codes
+        order = self.order
+        rows = self._structural_bindings(sub, gamma)
+        checks = []
+        for row in rows:
+            row_checks = []
+            for cond in sub.conditions:
+                left = slots.get(id(row[cond.left]))
+                if isinstance(cond.right, Const):
+                    right = const_codes[cond.right.value]
+                else:
+                    right = slots.get(id(row[cond.right]))
+                if left is None or right is None:
+                    raise _Unkeyable(cond)
+                row_checks.append((left, right, cond.op == "="))
+            checks.append(tuple(row_checks))
+        restrictions = [
+            tuple(tuple(order[id(row[a])] for a in n.args) for n in sub.nested)
+            for row in rows
+        ]
+        return _KeyTable(sub, checks, restrictions)
 
     # -- cached structure -----------------------------------------------------
 

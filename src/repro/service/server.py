@@ -50,7 +50,7 @@ from repro.service.http import (
     render_sse_event,
     render_stream_head,
 )
-from repro.service.journal import JobJournal
+from repro.service.journal import TERMINAL_STATES, JobJournal
 from repro.service.scheduler import JobScheduler, SchedulerConfig, ServiceFaultError
 
 __all__ = ["EXIT_DRAINED", "JobServer", "ServerConfig"]
@@ -167,6 +167,10 @@ class JobServer:
         # (awaited at drain so teardown is clean, not abandoned).
         self._stream_wakes: set[asyncio.Event] = set()
         self._stream_tasks: set[asyncio.Task] = set()
+        # Jobs whose terminal state some client has been shown (by a job
+        # stream or GET /jobs/{id}): a later job stream without
+        # Last-Event-ID is a reconnect and gets hello-only.
+        self._outcome_shown: set[str] = set()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -458,7 +462,14 @@ class JobServer:
         silence.  Slow consumers get bounded buffering + drop notices and
         are evicted when ``sse_evict_drops`` accumulates or one write
         stalls ``sse_write_timeout``.  Job-scoped streams end cleanly
-        after that job's terminal event."""
+        after that job's terminal event.
+
+        A job-scoped stream without ``Last-Event-ID`` first replays that
+        job's events still in the ring, so a client connecting right after
+        submit sees queued → running → done exactly once even when the job
+        finished first.  A terminal job gets hello-only (its state rides
+        in the hello) when its events have left the ring or a client has
+        already been shown its outcome."""
         if self.events is None:
             writer.write(render_response(503, {"error": "event streaming is disabled"}))
             return 503
@@ -516,10 +527,19 @@ class JobServer:
                 render_sse_event(json.dumps(hello, sort_keys=True), event="hello")
             )
             terminal_sent = False
-            if record is not None and not record.active():
-                # Already terminal: the hello carries the state; there is
-                # no live event to wait for (and synthesizing one here
-                # would duplicate terminal events across reconnects).
+            history: list[dict[str, Any]] = []
+            if record is not None and last_seq is None and record.id not in self._outcome_shown:
+                ring, _ = self.events.replay_since(0)
+                history = [e for e in ring if e.get("job_id") == job_filter]
+                if ring:
+                    # Anything newer reaches the subscription (opened above).
+                    watermark = ring[-1]["seq"]
+            if record is not None and not record.active() and not history:
+                # Already terminal with nothing to replay: the hello carries
+                # the state; there is no live event to wait for (and
+                # synthesizing one would duplicate terminal events across
+                # reconnects).
+                self._outcome_shown.add(record.id)
                 await writer.drain()
                 return 200
             if last_seq is not None:
@@ -539,6 +559,16 @@ class JobServer:
                         if job_filter is not None and EventBus.is_terminal(event["type"]):
                             terminal_sent = True
                     watermark = max(watermark, event["seq"])
+            for event in history:
+                writer.write(
+                    render_sse_event(
+                        json.dumps(event, sort_keys=True),
+                        event=event["type"],
+                        event_id=event["seq"],
+                    )
+                )
+                if EventBus.is_terminal(event["type"]):
+                    terminal_sent = True
             while True:
                 try:
                     await asyncio.wait_for(writer.drain(), timeout=self.config.sse_write_timeout)
@@ -547,6 +577,8 @@ class JobServer:
                         self.telemetry.count("service.sse_evicted")
                     return status
                 if terminal_sent or self._draining or total_drops >= self.config.sse_evict_drops:
+                    if terminal_sent:
+                        self._outcome_shown.add(job_filter)
                     break
                 try:
                     await asyncio.wait_for(wake.wait(), timeout=self.config.sse_heartbeat)
@@ -644,7 +676,10 @@ class JobServer:
                 record = self.journal.get(job_id)
                 if record is None:
                     raise HttpError(404, f"no such job {job_id!r}")
-                return 200, record.public_dict(), None
+                body = record.public_dict()
+                if body["state"] in TERMINAL_STATES:
+                    self._outcome_shown.add(job_id)
+                return 200, body, None
             if method == "DELETE":
                 status, body = self.scheduler.cancel(job_id)
                 return status, body, None

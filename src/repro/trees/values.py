@@ -68,6 +68,84 @@ def assign_values(tree: DataTree, values: Sequence[Any]) -> DataTree:
     return copy
 
 
+def enumerate_value_codes(
+    n_nodes: int,
+    n_constants: int = 0,
+    max_classes: Optional[int] = None,
+    start: int = 0,
+) -> Iterator[tuple[int, ...]]:
+    """The assignment space of :func:`enumerate_value_assignments` as
+    small-int codes: anonymous class ``b`` is ``b`` and constant number
+    ``k`` is ``-1 - k``.  Two nodes carry equal values exactly when they
+    carry equal codes, so the search can compare codes and decode only
+    the few vectors it has to materialize (:func:`value_decoder`).
+
+    Order per position: every constant, then each anonymous class already
+    open, then one fresh class (up to ``max_classes``) — a restricted-growth
+    string, so permuting anonymous values never yields a duplicate.  The
+    walk is an odometer over that order rather than a recursion, so one
+    vector costs one tuple, not a generator frame per node.
+
+    ``start`` skips that many vectors without walking them (a resumed
+    search continues mid-tree in time independent of the cursor).
+    """
+    if start < 0:
+        raise ValueError(f"start must be >= 0, got {start}")
+    cap = n_nodes if max_classes is None else min(max_classes, n_nodes)
+    rows = _completions(n_nodes, n_constants, cap)
+    if start >= rows[n_nodes][0]:
+        return
+    if n_nodes == 0:
+        yield ()
+        return
+    first = -1 if n_constants else 0
+    last_const = -n_constants
+    # Unrank ``start``: at each position, skip whole blocks of completions.
+    digits: list[int] = []
+    # opened[i] = anonymous classes opened by digits[:i].
+    opened = [0] * (n_nodes + 1)
+    for i in range(n_nodes):
+        rest = rows[n_nodes - i - 1]
+        for code in [*range(-1, last_const - 1, -1), *range(min(opened[i] + 1, cap))]:
+            after = max(opened[i], code + 1)
+            if start < rest[after]:
+                break
+            start -= rest[after]
+        digits.append(code)
+        opened[i + 1] = after
+    while True:
+        yield tuple(digits)
+        i = n_nodes - 1
+        while i >= 0:
+            d = digits[i]
+            if d < 0:
+                nxt = d - 1 if d > last_const else 0
+            else:
+                nxt = d + 1
+            if nxt < 0 or nxt < min(opened[i] + 1, cap):
+                break
+            i -= 1
+        if i < 0:
+            return
+        digits[i] = nxt
+        digits[i + 1 :] = [first] * (n_nodes - i - 1)
+        for j in range(i, n_nodes):
+            opened[j + 1] = max(opened[j], digits[j] + 1)
+
+
+def value_decoder(
+    n_nodes: int,
+    constants: Sequence[Any] = (),
+    max_classes: Optional[int] = None,
+) -> list[Any]:
+    """The code -> value map of :func:`enumerate_value_codes` for the same
+    arguments: a list indexed by code (a negative code reaches the
+    constants from the end)."""
+    consts = list(dict.fromkeys(constants))
+    cap = n_nodes if max_classes is None else min(max_classes, n_nodes)
+    return [AnonValue(b) for b in range(cap)] + consts[::-1]
+
+
 def enumerate_value_assignments(
     n_nodes: int,
     constants: Sequence[Any] = (),
@@ -81,25 +159,13 @@ def enumerate_value_assignments(
     never yields a duplicate.  ``max_classes`` caps the number of distinct
     anonymous values (``None`` = up to ``n_nodes``); capping trades
     completeness for speed and is reported by the typechecker as a budget.
+
+    This is :func:`enumerate_value_codes` decoded, vector for vector.
     """
-    consts = list(dict.fromkeys(constants))
-    cap = n_nodes if max_classes is None else min(max_classes, n_nodes)
-    anon = [AnonValue(b) for b in range(cap)]
-
-    def rec(i: int, used_anon: int, prefix: list[Any]) -> Iterator[tuple[Any, ...]]:
-        if i == n_nodes:
-            yield tuple(prefix)
-            return
-        for c in consts:
-            prefix.append(c)
-            yield from rec(i + 1, used_anon, prefix)
-            prefix.pop()
-        for b in range(min(used_anon + 1, cap)):
-            prefix.append(anon[b])
-            yield from rec(i + 1, max(used_anon, b + 1), prefix)
-            prefix.pop()
-
-    yield from rec(0, 0, [])
+    n_constants = len(dict.fromkeys(constants))
+    table = value_decoder(n_nodes, constants, max_classes)
+    for codes in enumerate_value_codes(n_nodes, n_constants, max_classes):
+        yield tuple([table[c] for c in codes])
 
 
 def enumerate_valued_trees(
@@ -143,17 +209,22 @@ def count_value_assignments(
     else:
         n_constants = len(dict.fromkeys(constants))
     cap = n_nodes if max_classes is None else min(max_classes, n_nodes)
-    # row[u] = number of completions with u classes open, i nodes to go.
-    row = [1] * (cap + 1)
+    return _completions(n_nodes, n_constants, cap)[n_nodes][0]
+
+
+def _completions(n_nodes: int, n_constants: int, cap: int) -> list[list[int]]:
+    """``rows[r][u]``: the number of ways to fill ``r`` more positions
+    with ``u`` anonymous classes already open."""
+    rows = [[1] * (cap + 1)]
     for _ in range(n_nodes):
-        nxt = [0] * (cap + 1)
-        for u in range(cap + 1):
-            total = n_constants * row[u]
-            for b in range(min(u + 1, cap)):
-                total += row[max(u, b + 1)]
-            nxt[u] = total
-        row = nxt
-    return row[0]
+        row = rows[-1]
+        rows.append(
+            [
+                n_constants * row[u] + sum(row[max(u, b + 1)] for b in range(min(u + 1, cap)))
+                for u in range(cap + 1)
+            ]
+        )
+    return rows
 
 
 def fresh_values(tree: DataTree) -> DataTree:

@@ -31,10 +31,9 @@ uninterrupted one.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Optional, Union
 
 from repro.dtd.content import ContentKind, SLContent
 from repro.dtd.core import DTD, ValidationResult
@@ -55,7 +54,7 @@ from repro.runtime.checkpoint import (
 from repro.runtime.control import OperationInterrupted, RuntimeControl
 from repro.runtime.shard import SearchTask, ShardSpec, plan_shards
 from repro.trees.data_tree import DataTree, Node
-from repro.trees.values import assign_values, enumerate_value_assignments
+from repro.trees.values import assign_values, enumerate_value_codes, value_decoder
 from repro.typecheck.errors import EvaluationError, WitnessVerificationError
 from repro.typecheck.result import SearchStats, TypecheckResult, Verdict
 
@@ -144,31 +143,44 @@ def _order_insensitive(tau1: DTD, output_type) -> bool:
     return False
 
 
-def _assignment_vectors(labels: DataTree, constants, max_classes, relevant_tags):
-    """Full value vectors (document order) for a label tree: enumerated
-    assignments over nodes whose tags the query can compare
-    (``relevant_tags``); every other node gets a unique fresh value.
+def _value_codes(
+    labels: DataTree, needs_values: bool, constants, max_classes, relevant_tags, start: int = 0
+):
+    """The value-code stream of a label tree (from position ``start``) and
+    its decoder.
+
+    Codes (:func:`~repro.trees.values.enumerate_value_codes`) cover the
+    nodes whose tags the query can compare (``relevant_tags``, ``None`` =
+    all of them), listed in ``positions``; ``decode(codes)`` builds the
+    full document-order value vector, giving every other node a unique
+    fresh value.  Without data conditions the stream is one empty code
+    vector that decodes to all-distinct values — the coarsest assignment
+    satisfying every != and no =, the same candidate as fresh_values().
 
     This is the *shared* enumeration order of the cached and uncached
     evaluation paths — checkpoints, shard cursors, and fault-injection
     indices count the same stream either way."""
     nodes = labels.nodes()
+    if not needs_values:
+        filler = tuple(f"_v{i}" for i in range(len(nodes)))
+        return [], iter([()][start:]), lambda codes: filler
     if relevant_tags is None:
-        relevant_idx = list(range(len(nodes)))
+        positions = list(range(len(nodes)))
     else:
-        relevant_idx = [i for i, n in enumerate(nodes) if n.label in relevant_tags]
+        positions = [i for i, n in enumerate(nodes) if n.label in relevant_tags]
+    table = value_decoder(len(positions), constants, max_classes)
     filler = [f"_u{i}" for i in range(len(nodes))]
-    for assignment in enumerate_value_assignments(len(relevant_idx), constants, max_classes):
+
+    def decode(codes: tuple[int, ...]) -> tuple:
         values = list(filler)
-        for i, v in zip(relevant_idx, assignment):
-            values[i] = v
-        yield tuple(values)
+        for i, code in zip(positions, codes):
+            values[i] = table[code]
+        return tuple(values)
 
-
-def _valued_candidates(labels: DataTree, constants, max_classes, relevant_tags):
-    """Valued versions of a label tree (the uncached materializing path)."""
-    for values in _assignment_vectors(labels, constants, max_classes, relevant_tags):
-        yield assign_values(labels, values)
+    stream = enumerate_value_codes(
+        len(positions), len(dict.fromkeys(constants)), max_classes, start
+    )
+    return positions, stream, decode
 
 
 def _stop_reason(control: Optional[RuntimeControl], next_instance_index: int) -> Optional[str]:
@@ -376,6 +388,11 @@ def find_counterexample(
     else:
         relevant_tags = frozenset()
     dedupe_order = budget.dedupe_sibling_order and _order_insensitive(tau1, output_type)
+    # Verdict memo (per label tree, see BoundTree.verdict_key): exact only
+    # for validators that read nothing but labels, so a callable output
+    # type (or a subclass with its own validate), which may inspect data
+    # values, always evaluates in full.
+    memo_ok = type(output_type) in (DTD, SpecializedDTD)
     seen_canonical: set[tuple] = set()
 
     def make_checkpoint(reason: str, labels_consumed: int, values_done: int) -> SearchCheckpoint:
@@ -450,40 +467,41 @@ def find_counterexample(
                 tree_span = tracer.begin(
                     "label_tree", index=raw_index, size=labels.size()
                 )
-            if needs_values:
-                vectors: Iterator[tuple] = _assignment_vectors(
-                    labels, constants, budget.max_value_classes, relevant_tags
-                )
-            else:
-                # All-distinct values: the coarsest assignment satisfying
-                # every != and no = — one candidate, same as fresh_values().
-                vectors = iter([tuple(f"_v{i}" for i in range(labels.size()))])
+            values_done = 0
+            if raw_index == resume_labels and resume_values > 0:
+                # The tree the interruption fell on: skip what was already
+                # evaluated (its bookkeeping is in the restored stats).
+                values_done = resume_values
+                if dedupe_order:
+                    # The original run booked this tree with its first counted
+                    # candidate; replay that part of the bookkeeping.
+                    seen_canonical.add(key)
+            positions, candidates, decode = _value_codes(
+                labels,
+                needs_values,
+                constants,
+                budget.max_value_classes,
+                relevant_tags,
+                start=values_done,
+            )
             if compiled is not None:
                 # One working copy per label tree; every assignment below is
                 # written onto it in place (no per-assignment tree.copy()).
+                slots = positions if memo_ok else None
                 if timing:
                     t_bind = perf_counter()
-                    bound: Optional[BoundTree] = compiled.bind(labels, stats)
+                    bound: Optional[BoundTree] = compiled.bind(labels, stats, slots)
                     dt_bind = perf_counter() - t_bind
                     if telemetry is not None:
                         telemetry.observe("bind", dt_bind)
                     if tracing:
                         tracer.emit("bind", t_bind, dt_bind)
                 else:
-                    bound = compiled.bind(labels, stats)
+                    bound = compiled.bind(labels, stats, slots)
+                passing = bound.passing
             else:
                 bound = None
-            candidates: Iterator[tuple] = vectors
-            values_done = 0
-            if raw_index == resume_labels and resume_values > 0:
-                # The tree the interruption fell on: skip what was already
-                # evaluated (its bookkeeping is in the restored stats).
-                candidates = itertools.islice(candidates, resume_values, None)
-                values_done = resume_values
-                if dedupe_order:
-                    # The original run booked this tree with its first counted
-                    # candidate; replay that part of the bookkeeping.
-                    seen_canonical.add(key)
+                passing = None
 
             def count_instance() -> None:
                 # Per-tree bookkeeping rides with the first *counted* candidate
@@ -511,7 +529,7 @@ def find_counterexample(
                         stats.valued_trees_checked,
                     )
 
-            for values in candidates:
+            for codes in candidates:
                 reason = _stop_reason(control, instance_base + stats.valued_trees_checked)
                 if reason is not None:
                     return interrupted(reason, raw_index, values_done)
@@ -528,18 +546,25 @@ def find_counterexample(
                 # The counters move only after the instance is fully processed,
                 # so a failure checkpoint (cursor *at* the failing instance,
                 # instance uncounted) resumes by retrying it — no double count.
-                # The valued tree is materialized only off the hot path (error
-                # reports, witnesses); the cached evaluator works in place.
+                # Values are decoded only on a memo miss; the valued tree is
+                # materialized only off the hot path (error reports,
+                # witnesses) — the cached evaluator works in place.
+                memo_key = None
                 try:
                     if injected is not None:
                         raise injected
                     if timing:
                         t_eval = perf_counter()
-                    if bound is not None:
-                        output = bound.evaluate(values)
-                    else:
-                        tree = assign_values(labels, values)
-                        output = evaluate(query, tree, telemetry=telemetry)
+                    if passing is not None:
+                        memo_key = bound.verdict_key(codes)
+                    hit = memo_key is not None and memo_key in passing
+                    if not hit:
+                        values = decode(codes)
+                        if bound is not None:
+                            output = bound.evaluate(values)
+                        else:
+                            tree = assign_values(labels, values)
+                            output = evaluate(query, tree, telemetry=telemetry)
                     if timing:
                         dt_eval = perf_counter() - t_eval
                         if telemetry is not None:
@@ -548,7 +573,10 @@ def find_counterexample(
                             tracer.emit("evaluate", t_eval, dt_eval, i=instance_index)
                 except Exception as exc:
                     error = EvaluationError(
-                        "query evaluation", instance_index, assign_values(labels, values), exc
+                        "query evaluation",
+                        instance_index,
+                        assign_values(labels, decode(codes)),
+                        exc,
                     )
                     error.checkpoint = make_checkpoint(
                         f"evaluator failure on instance #{instance_index}",
@@ -556,9 +584,19 @@ def find_counterexample(
                         values_done,
                     )
                     raise error from exc
+                if hit:
+                    # An assignment with the same surviving rows already
+                    # passed: same output shape, same verdict.
+                    stats.cache_hits += 1
+                    count_instance()
+                    continue
+                if memo_key is not None:
+                    stats.cache_misses += 1
                 if output is None:
                     count_instance()
                     if vacuous_output_ok:
+                        if memo_key is not None:
+                            passing.add(memo_key)
                         continue
                     return TypecheckResult(
                         Verdict.FAILS,
@@ -581,7 +619,10 @@ def find_counterexample(
                     )
                     raise error from exc
                 count_instance()
-                if not result.ok:
+                if result.ok:
+                    if memo_key is not None:
+                        passing.add(memo_key)
+                else:
                     # Re-verification always goes through the uncached
                     # reference evaluator on a fresh tree — with the cache on
                     # this doubles as a per-witness cross-check of the

@@ -141,15 +141,6 @@ def star_free_to_sl_hom(
 # -- the Theorem 3.2 reduction ------------------------------------------------------
 
 
-def _child_tag(child: Union[ConstructNode, NestedQuery]) -> str:
-    """Definition 3.7: the tag of a nested-query leaf is the tag of the
-    root of its construct clause."""
-    node = child if isinstance(child, ConstructNode) else child.query.construct
-    if node.is_tag_variable:
-        raise ValueError("Theorem 3.2 requires queries without tag variables")
-    return node.label
-
-
 def relabel_construct(query: Query) -> tuple[Query, dict[str, str]]:
     """Replace every construct-node tag by a fresh distinct one (``_b0``,
     ``_b1``, ...), returning the relabeled query and the homomorphism

@@ -1,6 +1,6 @@
-"""Compile-once query evaluation (ISSUE 3): exactness of the cached path.
+"""Compile-once query evaluation: exactness of the cached path.
 
-Three layers of evidence that :mod:`repro.ql.compile` changes *nothing
+Four layers of evidence that :mod:`repro.ql.compile` changes *nothing
 observable*:
 
 * a Hypothesis sweep asserting node-for-node identical output between the
@@ -11,29 +11,40 @@ observable*:
   3.5): identical verdicts, witnesses, outputs, and search statistics,
   sequential and sharded (``workers=2``), including under the
   ``worker_kill`` fault mode;
+* the per-label-tree verdict memo: a Hypothesis sweep of whole searches
+  (nested queries, ``val(X)``, tag variables, ``vacuous_output_ok=False``,
+  passing and failing output types, DTDs, specialized DTDs and callable
+  validators) against the ``use_eval_cache=False`` oracle, an evaluator
+  fault on a memo hit that resumes to identical totals, and the value-code
+  stream decoding to exactly the reference assignment stream;
 * the value-enumeration bugfixes riding along: anonymous classes are
   collision-proof against a query constant literally named ``"_v0"``,
   and the single-root invariant of ``evaluate()`` raises a structured
   :class:`EvaluationError` (which survives ``python -O``; asserts don't).
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dtd import DTD
+from repro.dtd import DTD, SpecializedDTD, ValidationError, ValidationResult
 from repro.dtd.generate import enumerate_instances
 from repro.ql import eval as ql_eval
 from repro.ql.ast import Condition, Const, ConstructNode, Edge, NestedQuery, Query, Where
-from repro.ql.compile import CompiledQuery, compiled_query_for
+from repro.ql.compile import BoundTree, CompiledQuery, compiled_query_for
 from repro.ql.eval import evaluate
 from repro.runtime import FaultInjector, FaultPlan, RuntimeControl, WorkerKill
 from repro.runtime.faults import ANY_SHARD
+from repro.trees.data_tree import DataTree, Node
 from repro.trees.values import (
     AnonValue,
     assign_values,
     count_value_assignments,
     enumerate_value_assignments,
+    enumerate_value_codes,
+    value_decoder,
 )
 from repro.typecheck import (
     EvaluationError,
@@ -74,8 +85,25 @@ def programs(draw):
     # optionally carrying val(X), optionally with a nested query per X.
     item_children = ()
     if draw(st.booleans()):
+        # Either the degenerate pattern rooted at a variable name (never
+        # matches the tree root) or a real walk from X with its own
+        # condition, which gives nested restrictions distinct verdicts.
+        if draw(st.booleans()):
+            inner_where = Where.of("X", [Edge.of(None, "Y", "c")])
+        else:
+            inner_conditions = draw(
+                st.sampled_from(
+                    [
+                        (),
+                        (Condition("Y", "=", Const(1)),),
+                        (Condition("Y", "!=", "X"),),
+                        (Condition("Y", "=", "X"),),
+                    ]
+                )
+            )
+            inner_where = Where.of("root", [Edge.of("X", "Y", "c")], inner_conditions)
         inner = Query(
-            where=Where.of("X", [Edge.of(None, "Y", "c")]),
+            where=inner_where,
             construct=ConstructNode("leaf", ("X", "Y")),
             free_vars=("X",),
         )
@@ -310,6 +338,271 @@ def test_summary_reports_cache_counters():
         _condition_query(), U_TAU1, U_TAU2_OK, BUDGET, use_eval_cache=False
     )
     assert "eval cache:" not in uncached.summary()
+
+
+# -- the verdict memo: whole searches against the oracle -----------------------
+
+_LEAFY = {"item": "leaf*", "a": "leaf*", "b": "leaf*", "leaf": "eps"}
+_BARE = {"item": "eps", "a": "eps", "b": "eps", "leaf": "eps"}
+MEMO_OUTPUT_TYPES = [
+    DTD("out", {"out": "(item + a + b)*", **_LEAFY}),
+    DTD("out", {"out": "(item + a + b)?", **_LEAFY}),
+    DTD("out", {"out": "(item + a + b).(item + a + b)*", **_BARE}),
+    DTD(
+        "out",
+        {"out": "!(item^>=2) & !(a^>=2)", "item": "true", "a": "true", "b": "true"},
+        unordered=True,
+        alphabet={"out", "item", "a", "b", "leaf"},
+    ),
+    # Items with leaves first, then at most one bare item.
+    SpecializedDTD(
+        DTD(
+            "out",
+            {
+                "out": "(a + b)*.item1*.item2?",
+                "item1": "leaf.leaf*",
+                "item2": "eps",
+                **{k: v for k, v in _LEAFY.items() if k != "item"},
+            },
+        ),
+        {"item1": "item", "item2": "item"},
+    ),
+]
+
+
+def _no_value_one(tree):
+    """A callable output type that reads data values (via ``val(X)``):
+    exactly what the memo must never be trusted with."""
+    for node in tree.nodes():
+        if node.value == 1:
+            return ValidationResult(False, ValidationError(node, "value 1 in the output"))
+    return MEMO_OUTPUT_TYPES[0].validate(tree)
+
+
+MEMO_OUTPUT_TYPES.append(_no_value_one)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    programs(),
+    st.integers(min_value=0, max_value=len(MEMO_OUTPUT_TYPES) - 1),
+    st.booleans(),
+    st.sampled_from([None, 1]),
+)
+def test_verdict_memo_matches_the_oracle_over_whole_searches(
+    query, output_idx, vacuous_output_ok, max_classes
+):
+    budget = SearchBudget(max_size=5, max_value_classes=max_classes)
+    assert_on_off_equivalent(
+        lambda **kw: find_counterexample(
+            query,
+            TAU1,
+            MEMO_OUTPUT_TYPES[output_idx],
+            budget=budget,
+            vacuous_output_ok=vacuous_output_ok,
+            **kw,
+        ),
+        expect_hits=False,
+    )
+
+
+def _shape(node):
+    """An output tree without its data values: what a validator reads."""
+    if node is None:
+        return None
+    return (node.label, tuple(_shape(c) for c in node.children))
+
+
+def _assert_keys_fix_shapes(query, labels):
+    """The memo's exactness argument, checked per assignment rather than
+    through a search (where the first failure may come before any key
+    repeats): within one label tree, equal keys give outputs of equal
+    labeled shape."""
+    compiled = compiled_query_for(query, TAU1.alphabet)
+    relevant = compiled.relevant_tags
+    positions = [
+        i for i, n in enumerate(labels.nodes()) if relevant is None or n.label in relevant
+    ]
+    bound = compiled.bind(labels, None, positions)
+    if not compiled.needs_values:
+        assert bound.passing is None
+        return
+    table = value_decoder(len(positions), compiled.constants)
+    filler = [f"_u{i}" for i in range(labels.size())]
+    shapes = {}
+    codes_stream = enumerate_value_codes(len(positions), len(compiled.constants))
+    for codes in itertools.islice(codes_stream, 600):
+        values = list(filler)
+        for i, code in zip(positions, codes):
+            values[i] = table[code]
+        output = bound.evaluate(tuple(values))
+        shape = _shape(output.root if output is not None else None)
+        assert shapes.setdefault(bound.verdict_key(codes), shape) == shape
+
+
+@settings(max_examples=100, deadline=None)
+@given(programs(), st.integers(min_value=0, max_value=len(_INSTANCES) - 1))
+def test_equal_verdict_keys_mean_equal_output_shapes(query, tree_idx):
+    _assert_keys_fix_shapes(query, _INSTANCES[tree_idx])
+
+
+def test_nested_restrictions_enter_the_verdict_key():
+    """A nested query whose own condition decides its output: assignments
+    that keep the same outer rows but not the same inner rows give
+    different shapes, so the key must tell them apart."""
+    inner = Query(
+        where=Where.of("root", [Edge.of("X", "Y", "c")], [Condition("Y", "!=", "X")]),
+        construct=ConstructNode("leaf", ("X", "Y")),
+        free_vars=("X",),
+    )
+    query = Query(
+        where=Where.of("root", [Edge.of(None, "X", "a")], [Condition("X", "!=", Const(1))]),
+        construct=ConstructNode(
+            "out", (), (ConstructNode("item", ("X",), (NestedQuery(inner, ("X",)),)),)
+        ),
+    )
+    for labels in _INSTANCES:
+        _assert_keys_fix_shapes(query, labels)
+
+
+def _memo_query() -> Query:
+    """Two pattern variables and two conditions: many assignments, few
+    distinct sets of surviving rows."""
+    return Query(
+        where=Where.of(
+            "root",
+            [Edge.of(None, "X", "a"), Edge.of(None, "Y", "a + b")],
+            [Condition("X", "=", Const(1)), Condition("X", "!=", "Y")],
+        ),
+        construct=ConstructNode("out", (), (ConstructNode("item", ("X", "Y")),)),
+    )
+
+
+@pytest.fixture
+def evaluate_calls(monkeypatch):
+    """Records every ``BoundTree.evaluate`` call."""
+    calls = []
+    original = BoundTree.evaluate
+
+    def counting(self, values):
+        calls.append(1)
+        return original(self, values)
+
+    monkeypatch.setattr(BoundTree, "evaluate", counting)
+    return calls
+
+
+def test_memo_hits_skip_evaluation(evaluate_calls):
+    budget = SearchBudget(max_size=5)
+    on, off = assert_on_off_equivalent(
+        lambda **kw: typecheck_regular(
+            _memo_query(), SF_TAU1, R_TAU2, budget, assume_projection_free=True, **kw
+        )
+    )
+    assert on.verdict is Verdict.NO_COUNTEREXAMPLE_FOUND
+    assert 0 < len(evaluate_calls) < on.stats.valued_trees_checked
+
+
+def test_callable_validator_bypasses_the_memo(evaluate_calls):
+    result = find_counterexample(
+        _memo_query(), SF_TAU1, lambda tree: R_TAU2.validate(tree), budget=BUDGET
+    )
+    assert len(evaluate_calls) == result.stats.valued_trees_checked
+
+
+def test_condition_outside_the_value_slots_evaluates_in_full():
+    """``~(a + eps)`` also matches ``b`` children, but the relevance
+    analysis reads only the regex's own symbols, so ``b`` nodes get no
+    value slot (a gap in the pruning, which both paths share).  A tree
+    where X can bind a ``b`` has no verdict key, every assignment is
+    evaluated, and the search still matches the oracle."""
+    query = Query(
+        where=Where.of(
+            "root", [Edge.of(None, "X", "~(a + eps)")], [Condition("X", "=", Const(1))]
+        ),
+        construct=ConstructNode("out", (), (ConstructNode("item", ("X",)),)),
+    )
+    compiled = compiled_query_for(query, SF_TAU1.alphabet)
+    root_b = DataTree(Node("root", [Node("b")]))
+    assert compiled.bind(root_b, None, []).passing is None
+    assert_on_off_equivalent(
+        lambda **kw: find_counterexample(query, SF_TAU1, R_TAU2, budget=BUDGET, **kw),
+        expect_hits=False,
+    )
+
+
+def _memo_counters(max_instances: int) -> tuple[int, int]:
+    budget = SearchBudget(max_size=5, max_instances=max_instances)
+    stats = typecheck_unordered(_condition_query(), U_TAU1, U_TAU2_OK, budget).stats
+    return stats.cache_hits, stats.cache_misses
+
+
+def test_evaluator_fault_on_a_memo_hit_resumes_to_identical_totals():
+    # Find an instance the memo answers: processing it adds one hit and
+    # no miss (a memo miss always counts one).  after[n] = the counters
+    # once n instances are processed.
+    after = [_memo_counters(n) for n in range(1, 40)]
+    hit_index = next(
+        i + 1
+        for i, (before, now) in enumerate(zip(after, after[1:]))
+        if now == (before[0] + 1, before[1])
+    )
+    straight = typecheck_unordered(_condition_query(), U_TAU1, U_TAU2_OK, BUDGET)
+    control = RuntimeControl(faults=FaultInjector(FaultPlan(fail_instances={hit_index})))
+    with pytest.raises(EvaluationError) as err:
+        typecheck_unordered(_condition_query(), U_TAU1, U_TAU2_OK, BUDGET, control=control)
+    # The fault plan is polled before the memo lookup: it fires on the
+    # hit, and its presence does not switch the memo off.
+    assert err.value.instance_index == hit_index
+    assert control.faults.failures_fired == 1
+    resumed = typecheck_unordered(
+        _condition_query(),
+        U_TAU1,
+        U_TAU2_OK,
+        BUDGET,
+        resume_from=err.value.checkpoint,
+    )
+    assert resumed.verdict is straight.verdict
+    assert _stat_triple(resumed) == _stat_triple(straight)
+
+
+def _reference_assignments(n_nodes, constants=(), max_classes=None):
+    """The recursive restricted-growth enumerator the code stream
+    replaced, kept verbatim as the order oracle."""
+    consts = list(dict.fromkeys(constants))
+    cap = n_nodes if max_classes is None else min(max_classes, n_nodes)
+    anon = [AnonValue(b) for b in range(cap)]
+
+    def rec(i, used_anon, prefix):
+        if i == n_nodes:
+            yield tuple(prefix)
+            return
+        for c in consts:
+            prefix.append(c)
+            yield from rec(i + 1, used_anon, prefix)
+            prefix.pop()
+        for b in range(min(used_anon + 1, cap)):
+            prefix.append(anon[b])
+            yield from rec(i + 1, max(used_anon, b + 1), prefix)
+            prefix.pop()
+
+    yield from rec(0, 0, [])
+
+
+@pytest.mark.parametrize("constants", [(), (1,), (1, "x", 1), ("_v0", "_v1")])
+@pytest.mark.parametrize("max_classes", [None, 0, 1, 2])
+def test_code_stream_decodes_to_the_reference_assignment_stream(constants, max_classes):
+    n_constants = len(dict.fromkeys(constants))
+    for n in range(7):
+        expected = list(_reference_assignments(n, constants, max_classes))
+        codes = list(enumerate_value_codes(n, n_constants, max_classes))
+        table = value_decoder(n, constants, max_classes)
+        assert [tuple(table[c] for c in v) for v in codes] == expected
+        assert list(enumerate_value_assignments(n, constants, max_classes)) == expected
+        assert len(codes) == count_value_assignments(n, constants, max_classes)
+        # A resumed search starts mid-stream by unranking, not by walking.
+        for start in {*range(0, len(codes), 1 + len(codes) // 16), len(codes)}:
+            assert list(enumerate_value_codes(n, n_constants, max_classes, start)) == codes[start:]
 
 
 # -- satellite: anonymous values are collision-proof --------------------------

@@ -214,6 +214,39 @@ class TestStreamEndToEnd:
 
         asyncio.run(scenario())
 
+    def test_job_stream_replays_history_of_a_finished_job_once(self, tmp_path):
+        """A first job-scoped stream opened after the job finished (the
+        race a client loses when it connects right after submit) replays
+        the job's events from the ring — each once, terminal last — and
+        ends; a reconnect after that outcome was shown gets hello-only."""
+
+        async def scenario():
+            server = _server(tmp_path)
+            port = await server.start()
+            firehose = await SseClient.open(port)
+            await firehose.read_frame()  # hello
+            status, body, _ = await _raw_call(port, "POST", "/jobs", payload())
+            job_id = body["id"]
+            live = await firehose.read_until("job_done")
+            await firehose.close()
+            expected = [e["seq"] for e in live if e.get("job_id") == job_id]
+
+            client = await SseClient.open(port, f"/jobs/{job_id}/events")
+            hello = json.loads((await client.read_frame())["data"])
+            assert hello["state"] == "done"
+            replayed = await client.read_until("job_done")
+            assert [e["seq"] for e in replayed] == expected
+            assert await client.read_frame() is None
+            await client.close()
+
+            again = await SseClient.open(port, f"/jobs/{job_id}/events")
+            await again.read_frame()  # hello
+            assert await again.read_frame() is None
+            await again.close()
+            await server.stop()
+
+        asyncio.run(scenario())
+
     def test_heartbeats_cover_idle_streams(self, tmp_path):
         async def scenario():
             server = _server(tmp_path, sse_heartbeat=0.05)
