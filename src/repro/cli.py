@@ -664,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="cursor ranges planned per worker for the pool's work-stealing "
         "(more ranges = finer load balancing and finer-grained loss on a "
-        "crash, at more enumeration replay; default: supervisor default)",
+        "crash, at more per-range start-up; default: supervisor default)",
     )
     p_tc.add_argument(
         "--heartbeat-timeout",

@@ -174,6 +174,11 @@ def value_relevant_tags(query: Query) -> Optional[frozenset[str]]:
     analysis cannot bound the tags (epsilon in a condition variable's path
     language, or an unanalyzable edge) — meaning "treat every tag as
     relevant".
+
+    Each DFA's alphabet is the regex's own symbols plus one fresh symbol
+    standing for every other label: a path such as ``~(a + eps)`` also
+    matches ``b`` nodes, which shows up as an accepting transition on
+    the fresh symbol, and then every tag is relevant (``None``).
     """
     condition_vars = condition_variables(query)
     relevant: set[str] = set()
@@ -181,13 +186,18 @@ def value_relevant_tags(query: Query) -> Optional[frozenset[str]]:
         for edge in q.where.edges:
             if edge.target not in condition_vars:
                 continue
-            sigma = edge.regex.symbols() or frozenset({"_any"})
-            dfa = edge.regex.to_dfa(sigma)
+            symbols = edge.regex.symbols()
+            other = "#other"
+            while other in symbols:
+                other += "#"
+            dfa = edge.regex.to_dfa(symbols | {other})
             if dfa.accepts_epsilon():
                 return None  # the variable may alias its source node
             live = dfa.live_states()
             for (s, a), t in dfa.transitions.items():
                 if s in live and t in dfa.accepting:
+                    if a == other:
+                        return None  # the path may end on any label
                     relevant.add(a)
     return frozenset(relevant)
 

@@ -142,10 +142,6 @@ class _KeyTable:
         self.visits: dict[int, tuple["_KeyTable", ...]] = {}
 
 
-class _Unkeyable(Exception):
-    """A condition compares a node outside the enumerated value slots."""
-
-
 class CompiledQuery:
     """A query pre-compiled against one input-DTD alphabet.
 
@@ -251,12 +247,8 @@ class BoundTree:
             self._const_codes = {
                 v: -1 - k for k, v in enumerate(dict.fromkeys(cq.constants))
             }
-            try:
-                self._top = self._key_table(cq._subs[id(cq.query)], {})
-            except _Unkeyable:
-                pass
-            else:
-                self.passing = set()
+            self._top = self._key_table(cq._subs[id(cq.query)], {})
+            self.passing = set()
 
     # -- per-assignment entry -------------------------------------------------
 
@@ -286,19 +278,13 @@ class BoundTree:
         labels (values only through ``val(x)``), so the surviving rows fix
         every output node's label and children.  A validator that reads
         only labels therefore reaches the same verdict on both.
-
-        ``None`` means no key: a nested condition reads a node outside the
-        value slots (the caller then evaluates in full).
         """
         top = self._top
         mask = self._survivors(top, codes)
         if not top.sub.nested:
             return mask
         out: list[int] = []
-        try:
-            self._nested_key(top, mask, codes, out)
-        except _Unkeyable:
-            return None
+        self._nested_key(top, mask, codes, out)
         return tuple(out)
 
     @staticmethod
@@ -351,13 +337,13 @@ class BoundTree:
         for row in rows:
             row_checks = []
             for cond in sub.conditions:
-                left = slots.get(id(row[cond.left]))
+                # Every condition variable's node has a slot: the value
+                # positions cover every tag value_relevant_tags allows.
+                left = slots[id(row[cond.left])]
                 if isinstance(cond.right, Const):
                     right = const_codes[cond.right.value]
                 else:
-                    right = slots.get(id(row[cond.right]))
-                if left is None or right is None:
-                    raise _Unkeyable(cond)
+                    right = slots[id(row[cond.right])]
                 row_checks.append((left, right, cond.op == "="))
             checks.append(tuple(row_checks))
         restrictions = [

@@ -12,10 +12,11 @@ just a cursor into that sequence —
 * ``values_done`` — valued candidates already evaluated for the label
   tree *at* the cursor (0 when interruption fell on a tree boundary) —
 
-plus a snapshot of the search statistics.  Resuming replays the
-enumeration up to the cursor *without evaluating anything* (it only
-rebuilds the dedupe set), then continues exactly where the interrupted
-run stopped, so an interrupted-then-resumed search performs the same
+plus a snapshot of the search statistics.  Resuming starts the
+enumeration at the cursor — it seeks, building no earlier tree; only
+sibling-order dedupe replays the earlier trees, *without evaluating
+anything*, to rebuild its set of shapes already seen — then continues
+exactly where the interrupted run stopped, so an interrupted-then-resumed search performs the same
 evaluations — and reaches the same verdict and the same
 ``valued_trees_checked`` total — as an uninterrupted one.
 

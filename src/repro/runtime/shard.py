@@ -5,18 +5,22 @@ increasing size, then value assignments per tree), which is what makes it
 checkpointable — and the same determinism makes it *partitionable*: a
 shard is just a cursor range ``[start_label, stop_label)`` over the raw
 label-tree stream, plus the global index of its first valued instance.
-Workers replay the enumeration up to their range (rebuilding only the
-sibling-order dedupe set, never evaluating), evaluate their range, and
+Workers start the enumeration at their range (the stream seeks; only
+sibling-order dedupe replays the trees before it, to rebuild its set of
+shapes already seen, never evaluating them), evaluate their range, and
 stop; disjoint ranges tiling the stream cover exactly the instances the
 sequential search would evaluate, so per-shard statistics merge back into
 the sequential totals *exactly*.
 
-The planner prices each label tree combinatorially
+The planner prices the stream exactly: without data conditions or dedupe
+every label tree is one instance and the count of trees is the whole
+price (:func:`repro.dtd.generate.count_instances`, no tree is built);
+otherwise it walks the stream and prices each label tree combinatorially
 (:func:`repro.trees.values.count_value_assignments` is closed-form, no
-assignment is materialized), so shard instance offsets are exact — which
-is what lets global fault-injection indices, the global ``max_instances``
-budget, and the merged ``valued_trees_checked`` all agree with an
-uninterrupted sequential run.
+assignment is materialized).  Exact shard instance offsets are what let
+global fault-injection indices, the global ``max_instances`` budget, and
+the merged ``valued_trees_checked`` all agree with an uninterrupted
+sequential run.
 
 This module is import-light on purpose (the engine imports
 :class:`ShardSpec`); everything that needs the typecheck machinery is
@@ -45,8 +49,9 @@ class ShardSpec:
     """One cursor-range shard of the deterministic search."""
 
     start_label: int
-    """First raw label-tree index this shard evaluates (earlier trees
-    are replayed for dedupe bookkeeping only)."""
+    """First raw label-tree index this shard evaluates (the stream seeks
+    to it; only sibling-order dedupe replays earlier trees, for its
+    bookkeeping)."""
 
     stop_label: int
     """Exclusive end of the shard's label range."""
@@ -151,16 +156,84 @@ def plan_shards(
     target_shards: int,
     control: Any = None,
 ) -> ShardPlan:
-    """Walk the label-tree stream once (no evaluation) and cut it into
+    """Price the label-tree stream (no evaluation) and cut it into
     ``target_shards`` contiguous ranges of roughly equal instance counts.
 
-    Replays exactly the engine's setup — value-relevant tags, constants,
-    sibling-order dedupe — so the per-tree candidate counts match what a
-    worker (or the sequential engine) will actually evaluate.  Raises
+    Without data conditions or sibling-order dedupe every label tree is
+    worth exactly one instance, so the price comes from
+    :func:`~repro.dtd.generate.count_instances` and no tree is built.
+    Otherwise :func:`price_by_walk` replays exactly the engine's setup —
+    value-relevant tags, constants, sibling-order dedupe — so the per-tree
+    candidate counts match what a worker (or the sequential engine) will
+    actually evaluate.  Raises
     :class:`~repro.runtime.control.OperationInterrupted` when ``control``
-    trips mid-walk (planning evaluates nothing, so there is no partial
-    result worth keeping).
+    trips (planning evaluates nothing, so there is no partial result worth
+    keeping).
     """
+    from repro.ql.analysis import has_data_conditions
+    from repro.typecheck.search import _order_insensitive
+
+    # The fingerprint digests everything the pricing depends on (query,
+    # DTDs, every budget field, algorithm), so a completed plan can be
+    # reused verbatim: services and pooled callers re-issuing the same
+    # search skip the pricing entirely.  Plans are treated as immutable
+    # by every consumer.
+    memo_key = (fingerprint, target_shards)
+    with _plan_memo_lock:
+        hit = _plan_memo.get(memo_key)
+        if hit is not None:
+            _plan_memo.move_to_end(memo_key)
+            return hit
+
+    needs_values = has_data_conditions(query)
+    dedupe_order = budget.dedupe_sibling_order and _order_insensitive(tau1, output_type)
+    if needs_values or dedupe_order:
+        label_counts, capped = price_by_walk(query, tau1, output_type, budget, control)
+    else:
+        label_counts, capped = price_by_count(tau1, budget, control)
+
+    plan = ShardPlan(
+        fingerprint=fingerprint,
+        total_labels=len(label_counts),
+        total_instances=sum(label_counts),
+        capped=capped,
+        needs_values=needs_values,
+        label_counts=label_counts,
+        shards=cut_shards(label_counts, target_shards),
+    )
+    with _plan_memo_lock:
+        if memo_key not in _plan_memo:
+            _plan_memo[memo_key] = plan
+            if len(_plan_memo) > _PLAN_MEMO_MAX:
+                _plan_memo.popitem(last=False)
+        else:
+            # Lost a concurrent pricing race: keep the published plan so
+            # every caller shares one object.
+            plan = _plan_memo[memo_key]
+            _plan_memo.move_to_end(memo_key)
+    return plan
+
+
+def price_by_count(tau1: Any, budget: Any, control: Any = None) -> tuple[list[int], bool]:
+    """Per-label instance counts and the capped flag of a search without
+    data conditions or dedupe: one instance per label tree, so the
+    counting DP prices the stream without building it."""
+    from repro.dtd.generate import count_instances
+
+    if control is not None:
+        control.raise_if_stopped()
+    labels = count_instances(tau1, budget.max_size)
+    # The engine stops at the first tree past the instance budget.
+    return [1] * min(labels, budget.max_instances), labels > budget.max_instances
+
+
+def price_by_walk(
+    query: Any, tau1: Any, output_type: Any, budget: Any, control: Any = None
+) -> tuple[list[int], bool]:
+    """Per-label instance counts and the capped flag, by walking the
+    label-tree stream once (each tree priced in closed form by
+    :func:`~repro.trees.values.count_value_assignments`, no assignment is
+    materialized).  A label skipped by sibling-order dedupe costs 0."""
     from repro.dtd.generate import enumerate_instances
     from repro.ql.analysis import constants_used, has_data_conditions
     from repro.trees.values import count_value_assignments
@@ -169,18 +242,6 @@ def plan_shards(
         _unordered_canonical,
         _value_relevant_tags,
     )
-
-    # The fingerprint digests everything the walk depends on (query,
-    # DTDs, every budget field, algorithm), so a completed plan can be
-    # reused verbatim: services and pooled callers re-issuing the same
-    # search skip the pricing walk entirely.  Plans are treated as
-    # immutable by every consumer.
-    memo_key = (fingerprint, target_shards)
-    with _plan_memo_lock:
-        hit = _plan_memo.get(memo_key)
-        if hit is not None:
-            _plan_memo.move_to_end(memo_key)
-            return hit
 
     needs_values = has_data_conditions(query)
     # The constant *sequence* goes to the pricing DP, which dedupes it
@@ -229,11 +290,16 @@ def plan_shards(
     # A stream ending inside an over-budget tree is also capped: the
     # sequential engine would break on the tree's next candidate rather
     # than exhaust the space.
-    capped = capped or total > budget.max_instances
+    return label_counts, capped or total > budget.max_instances
+
+
+def cut_shards(label_counts: list[int], target_shards: int) -> list[ShardSpec]:
+    """Contiguous ranges over ``label_counts`` of roughly equal instance
+    counts, at most ``target_shards`` of them."""
     total_labels = len(label_counts)
     shards: list[ShardSpec] = []
     if total_labels:
-        per_shard = max(1, -(-total // max(1, target_shards)))  # ceil
+        per_shard = max(1, -(-sum(label_counts) // max(1, target_shards)))  # ceil
         start = 0
         base = 0
         acc = 0
@@ -243,24 +309,4 @@ def plan_shards(
                 shards.append(ShardSpec(start, idx + 1, base, acc))
                 start, base, acc = idx + 1, base + acc, 0
         shards.append(ShardSpec(start, total_labels, base, acc))
-
-    plan = ShardPlan(
-        fingerprint=fingerprint,
-        total_labels=total_labels,
-        total_instances=total,
-        capped=capped,
-        needs_values=needs_values,
-        label_counts=label_counts,
-        shards=shards,
-    )
-    with _plan_memo_lock:
-        if memo_key not in _plan_memo:
-            _plan_memo[memo_key] = plan
-            if len(_plan_memo) > _PLAN_MEMO_MAX:
-                _plan_memo.popitem(last=False)
-        else:
-            # Lost a concurrent walk race: keep the published plan so
-            # every caller shares one object.
-            plan = _plan_memo[memo_key]
-            _plan_memo.move_to_end(memo_key)
-    return plan
+    return shards

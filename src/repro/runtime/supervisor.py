@@ -102,7 +102,9 @@ class SupervisorConfig:
 
     shards_per_worker: int = 4
     """Planned shards per worker — more shards mean finer-grained loss
-    on a crash and better load balance, at slightly more replay."""
+    on a crash and better load balance, at slightly more per-range
+    start-up (a seek to the range; only sibling-order dedupe replays the
+    stream before it)."""
 
     heartbeat_interval: float = 0.2
     """Seconds between worker progress heartbeats."""
@@ -110,7 +112,8 @@ class SupervisorConfig:
     hang_timeout: float = 30.0
     """A running worker silent for this long is declared hung and
     killed.  Must comfortably exceed the cost of one candidate
-    evaluation plus the shard's enumeration replay."""
+    evaluation plus the shard's start-up (its seek, or under
+    sibling-order dedupe its replay of the stream before the range)."""
 
     backoff_base: float = 0.05
     backoff_cap: float = 2.0
@@ -127,7 +130,8 @@ class SupervisorConfig:
     """On a host with fewer cores than ``workers`` (and no fault plan or
     caller pool demanding real processes), run the search in-process
     instead of forking: oversubscribed workers time-slice one CPU and can
-    only add cache-miss, replay, and IPC cost over the sequential engine.
+    only add cache-miss, range start-up, and IPC cost over the sequential
+    engine.
     Set ``False`` to force worker processes regardless."""
 
     poll_interval: float = 0.05
@@ -473,7 +477,7 @@ class ShardedSearch:
         # Process parallelism only pays when ranges actually run
         # concurrently.  On a host with fewer cores than workers, forked
         # workers time-slice one CPU: the same total evaluation work plus
-        # per-process cache misses, prefix replay, and IPC — strictly
+        # per-process cache misses, range start-up, and IPC — strictly
         # slower than the sequential engine.  When nothing demands real
         # processes (no fault plan to deliver, no caller-owned pool to
         # run on), plan a single full-stream range and run it in this
@@ -489,9 +493,10 @@ class ShardedSearch:
             target = 1
         else:
             # Fine-grained stealing granularity has the same economics:
-            # every range past the first replays its label-stream prefix,
-            # so when cores are scarce (but processes are demanded) plan
-            # the coarsest exact split instead.
+            # every range pays its start-up (a seek, or under sibling-order
+            # dedupe a replay of its label-stream prefix), so when cores
+            # are scarce (but processes are demanded) plan the coarsest
+            # exact split instead.
             per_worker = self.config.shards_per_worker if cores >= self.workers else 1
             target = max(1, self.workers * per_worker)
         try:
@@ -844,7 +849,7 @@ class ShardedSearch:
                 if tracer.enabled and entry is not None:
                     # The worker cannot write the parent's trace file; the
                     # shard span is the parent-side view (steal dispatch
-                    # to final message, replay included).
+                    # to final message, range start-up included).
                     tracer.emit(
                         "shard",
                         entry[2],

@@ -22,8 +22,9 @@ The verdict is exact about what was proven:
 Resumability rests on determinism: the search sequence (label trees in
 increasing size, then value assignments per tree) is a fixed order, so a
 checkpoint is a cursor ``(labels_consumed, values_done)`` into it.
-``resume_from=`` replays the enumeration up to the cursor without
-evaluating anything (rebuilding only the sibling-order dedupe set) and
+``resume_from=`` starts the label-tree stream at the cursor (it seeks;
+only sibling-order dedupe replays the trees before it, without
+evaluating anything, to rebuild its set of shapes already seen) and
 continues, making an interrupted-then-resumed run perform exactly the
 evaluations — and reach exactly the verdict and statistics — of an
 uninterrupted one.
@@ -279,10 +280,11 @@ def find_counterexample(
     with identical semantics to an uninterrupted run.
 
     ``shard`` restricts the run to one cursor range of the deterministic
-    stream (see :class:`repro.runtime.shard.ShardSpec`): trees below the
-    range are replayed for dedupe bookkeeping only, the run stops at the
-    range's end, statistics are shard-local, and every index reported to
-    fault plans and the ``max_instances`` budget is *global*
+    stream (see :class:`repro.runtime.shard.ShardSpec`): the stream starts
+    at the range (only sibling-order dedupe replays the trees below it,
+    for its bookkeeping), the run stops at the range's end, statistics
+    are shard-local, and every index reported to fault plans and the
+    ``max_instances`` budget is *global*
     (``instance_base`` + local count) — which is what lets a supervisor
     merge shard results into exactly the sequential outcome.
     """
@@ -436,17 +438,21 @@ def find_counterexample(
     autosave = control.autosave if control is not None and shard is None else None
 
     # Trees below a shard's range were (or will be) evaluated by other
-    # shards; like a resume fast-forward, they only feed the dedupe set.
+    # shards, and trees below a resume cursor already were: the stream
+    # seeks past them.  Sibling-order dedupe alone must replay them, to
+    # rebuild its set of canonical shapes already seen.
     skip_labels = max(resume_labels, shard.start_label if shard is not None else 0)
+    stream_start = 0 if dedupe_order else skip_labels
+    stream_limit = shard.stop_label - stream_start if shard is not None else None
 
     exhausted_sizes = True
     budget_hit = False
     tree_span = None  # open label_tree span (tracing only)
-    raw_index = 0  # position in the deterministic label-tree stream
+    raw_index = stream_start  # position in the deterministic label-tree stream
     try:
-        for labels in enumerate_instances(tau1, budget.max_size):
-            if shard is not None and raw_index >= shard.stop_label:
-                break
+        for labels in enumerate_instances(
+            tau1, budget.max_size, limit=stream_limit, start=stream_start
+        ):
             if dedupe_order:
                 key = _unordered_canonical(labels.root)
                 if key in seen_canonical:
@@ -455,11 +461,10 @@ def find_counterexample(
             else:
                 key = None
             if raw_index < skip_labels:
-                # Fast-forward of a resumed or sharded search: this tree's
+                # Dedupe replay of a resumed or sharded search: this tree's
                 # candidates were (or will be) evaluated and counted
-                # elsewhere; only the dedupe set needs replaying.
-                if dedupe_order:
-                    seen_canonical.add(key)
+                # elsewhere; only the dedupe set needs it.
+                seen_canonical.add(key)
                 raw_index += 1
                 continue
 

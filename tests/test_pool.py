@@ -177,6 +177,24 @@ class TestReapEscalation:
         assert_no_pool_children()
 
 
+class GrantedDeadline(Deadline):
+    """A deadline the test scripts per dispatch: the supervisor reads
+    ``remaining()`` once for each range it hands to a pooled worker, and
+    the n-th read returns ``grants[n]`` (0 once they run out).  Its own
+    clock never expires, so every interruption comes from a worker's
+    per-range deadline, inside the range, whatever the timing."""
+
+    def __init__(self, *grants: float) -> None:
+        super().__init__(float("inf"))
+        self.grants = list(grants)
+
+    def expired(self) -> bool:
+        return False
+
+    def remaining(self) -> float:
+        return self.grants.pop(0) if self.grants else 0.0
+
+
 class TestPerRangeDeadlines:
     """Satellite: ``deadline_seconds`` used to be computed once at worker
     start; a pooled worker outliving one run would hold a stale value.
@@ -195,16 +213,18 @@ class TestPerRangeDeadlines:
                 assume_projection_free=True, pool=pool,
             )
             assert warm.verdict is not Verdict.INTERRUPTED
-            # Run 2, same workers: a deadline that expires mid-search
-            # must interrupt with a resumable multi-shard cursor.
-            short = RuntimeControl(deadline=Deadline.after(0.15))
+            # Run 2, same workers: the first range is granted an hour and
+            # finishes; every later range is dispatched with 0 s left and
+            # must stop at its first instance with a resumable cursor.
+            granted = RuntimeControl(deadline=GrantedDeadline(3600.0))
             interrupted = typecheck(
                 copy_query(), TAU1_WIDE, TAU2, big_budget,
-                assume_projection_free=True, control=short, pool=pool,
+                assume_projection_free=True, control=granted, pool=pool,
             )
             assert interrupted.verdict is Verdict.INTERRUPTED
+            assert interrupted.interruption == "deadline expired"
             assert interrupted.checkpoint is not None
-            assert interrupted.stats.valued_trees_checked < seq.stats.valued_trees_checked
+            assert 0 < interrupted.stats.valued_trees_checked < seq.stats.valued_trees_checked
             # Run 3, same workers again: resuming finishes the search
             # with exactly the sequential totals — the cursor was exact.
             resumed = typecheck(

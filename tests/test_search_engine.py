@@ -57,6 +57,53 @@ class TestValueRelevance:
         )
         assert _value_relevant_tags(q) is None
 
+    def test_complement_path_gives_none(self):
+        # ~(a + eps) ends on any label but a, including ones the regex
+        # never mentions.
+        q = Query(
+            where=Where.of(
+                "root", [Edge.of(None, "X", "~(a + eps)")], [Condition("X", "=", Const(1))]
+            ),
+            construct=ConstructNode("out", ()),
+        )
+        assert _value_relevant_tags(q) is None
+
+    def test_complement_after_a_named_prefix(self):
+        # a.~(eps) only ends below an a, but on any label: unbounded too;
+        # a.(b + ~b) likewise; a.b.~(~eps) is just a.b (ends on b).
+        cond = [Condition("X", "=", Const(1))]
+        for path, expected in (
+            ("a.~(eps)", None),
+            ("a.(b + ~b)", None),
+            ("a.b.~(~eps)", {"b"}),
+        ):
+            q = Query(
+                where=Where.of("root", [Edge.of(None, "X", path)], cond),
+                construct=ConstructNode("out", ()),
+            )
+            assert _value_relevant_tags(q) == expected, path
+
+    def test_pruning_agrees_with_no_pruning_on_complement_paths(self):
+        """The reproducer of a wrong TYPECHECKS: ``b`` nodes got no value
+        slot, so X = 1 never held on them and the search missed the
+        output item that ``out -> item^=0`` forbids."""
+        query = Query(
+            where=Where.of(
+                "root", [Edge.of(None, "X", "~(a + eps)")], [Condition("X", "=", Const(1))]
+            ),
+            construct=ConstructNode("out", (), (ConstructNode("item", ("X",)),)),
+        )
+        tau1 = DTD("root", {"root": "b?"})
+        tau2 = DTD("out", {"out": "item^=0"}, unordered=True)
+        results = [
+            find_counterexample(
+                query, tau1, tau2, budget=SearchBudget(max_size=4, prune_value_tags=prune)
+            )
+            for prune in (True, False)
+        ]
+        assert [r.verdict for r in results] == [Verdict.FAILS, Verdict.FAILS]
+        assert results[0].counterexample == results[1].counterexample
+
 
 class TestOrderInsensitivity:
     def test_unordered_both_sides(self):

@@ -11,6 +11,7 @@ run — worker deaths cost retries, never correctness.
 import pytest
 
 from repro.dtd import DTD
+from repro.dtd.generate import count_instances
 from repro.ql.ast import Condition, Const, ConstructNode, Edge, Query, Where
 from repro.runtime import (
     CheckpointMismatchError,
@@ -24,8 +25,11 @@ from repro.runtime import (
     search_fingerprint,
 )
 from repro.runtime.checkpoint import checkpoint_from_json
+from repro.runtime.control import OperationInterrupted
 from repro.runtime.faults import ANY_SHARD
+from repro.runtime.shard import ShardSpec, cut_shards, price_by_walk
 from repro.runtime.supervisor import ShardedSearch, SupervisorConfig
+from repro.trees.data_tree import Node
 from repro.typecheck import (
     EvaluationError,
     Verdict,
@@ -51,6 +55,8 @@ def condition_query() -> Query:
     )
 
 
+# The structure-sharded benchmark's input type: ordered, so no dedupe.
+SHARDED_TAU1 = DTD("root", {"root": "(a + b)*", "a": "c*"})
 TAU1_UNORDERED = DTD("root", {"root": "a^>=0"}, unordered=True)
 TAU2_PERMISSIVE = DTD("out", {"out": "true"}, unordered=True, alphabet={"out", "item"})
 TAU2_STRICT = DTD("out", {"out": "item^=1"}, unordered=True, alphabet={"out", "item"})
@@ -222,6 +228,28 @@ class TestShardPlan:
         # at that tree's next candidate), so the planned total can exceed
         # the cap — what matters is that the plan *knows* it is capped.
         assert plan.total_instances >= budget.max_instances
+
+    @pytest.mark.parametrize("cap_shift", [None, 0, -1])
+    def test_count_priced_plan_equals_the_walked_plan(self, cap_shift, monkeypatch):
+        """Without conditions or dedupe the plan comes from the count;
+        the walk, kept for the other searches, is its oracle — including
+        an instance budget of exactly N and N - 1 trees."""
+        query, tau1, tau2 = copy_query(), SHARDED_TAU1, TAU2_PERMISSIVE
+        n = count_instances(tau1, 7)
+        max_instances = 200_000 if cap_shift is None else n + cap_shift
+        budget = SearchBudget(max_size=7, max_instances=max_instances)
+        walked, walked_capped = price_by_walk(query, tau1, tau2, budget)
+        fp = search_fingerprint(query, tau1, tau2, budget, f"count-{cap_shift}", True)
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("a condition-free plan must not walk the stream")
+
+        monkeypatch.setattr("repro.dtd.generate.enumerate_instances", no_walk)
+        plan = plan_shards(query, tau1, tau2, budget, fingerprint=fp, target_shards=5)
+        assert plan.label_counts == walked
+        assert plan.capped is walked_capped is (cap_shift == -1)
+        assert plan.shards == cut_shards(walked, 5)
+        assert plan.total_labels == len(walked) and plan.total_instances == sum(walked)
 
     def test_split_point_halves_instances(self):
         query, tau1, tau2 = condition_query(), TAU1_UNORDERED, TAU2_PERMISSIVE
@@ -408,6 +436,75 @@ class TestInterruptAndResume:
         assert res.interruption == "deadline expired"
         assert res.checkpoint is not None
         assert res.stats.valued_trees_checked == 0
+
+    def test_expired_deadline_interrupts_count_priced_planning_losslessly(self):
+        """The condition-free twin: the plan is priced by the count, not
+        by a walk, and must still poll ``control``."""
+        tau1 = DTD("root", {"root": "a*.b?"})
+        budget = SearchBudget(max_size=5, max_instances=4_321)  # a fresh plan
+        fp = search_fingerprint(copy_query(), tau1, TAU2_PERMISSIVE, budget, "twin", True)
+        with pytest.raises(OperationInterrupted):
+            plan_shards(
+                copy_query(), tau1, TAU2_PERMISSIVE, budget, fingerprint=fp,
+                target_shards=4, control=RuntimeControl.with_deadline(0),
+            )
+        res = typecheck(
+            copy_query(), tau1, TAU2_PERMISSIVE, budget,
+            assume_projection_free=True, control=RuntimeControl.with_deadline(0), workers=4,
+        )
+        assert res.verdict is Verdict.INTERRUPTED
+        assert res.interruption == "deadline expired"
+        assert res.checkpoint is not None
+        assert res.stats.valued_trees_checked == 0
+
+
+class _RootCounter(Node):
+    """A ``Node`` that counts how many roots the enumerator builds."""
+
+    __slots__ = ()
+    built = 0
+
+    def __init__(self, label, children=None, value=None):
+        if label == "root":
+            type(self).built += 1
+        super().__init__(label, children, value)
+
+
+class TestSeekingRanges:
+    """A shard range or a resume starts the label-tree stream at its
+    cursor: no tree before it is built."""
+
+    def _spy(self, monkeypatch):
+        _RootCounter.built = 0
+        monkeypatch.setattr("repro.dtd.generate.Node", _RootCounter)
+        return _RootCounter
+
+    def test_shard_builds_only_its_range(self, monkeypatch):
+        budget = SearchBudget(max_size=7)
+        spy = self._spy(monkeypatch)
+        res = find_counterexample(
+            copy_query(), SHARDED_TAU1, TAU2_PERMISSIVE, budget=budget,
+            shard=ShardSpec(100, 140, 100, 40),
+        )
+        assert res.stats.label_trees_checked == 40
+        assert spy.built == 40
+
+    def test_resume_builds_only_from_its_cursor(self, monkeypatch):
+        budget = SearchBudget(max_size=7)
+        n = count_instances(SHARDED_TAU1, 7)
+        cut = find_counterexample(
+            copy_query(), SHARDED_TAU1, TAU2_PERMISSIVE, budget=budget,
+            control=cancel_control(150),
+        )
+        assert cut.verdict is Verdict.INTERRUPTED
+        assert cut.checkpoint.labels_consumed == 150
+        spy = self._spy(monkeypatch)
+        resumed = find_counterexample(
+            copy_query(), SHARDED_TAU1, TAU2_PERMISSIVE, budget=budget,
+            resume_from=cut.checkpoint,
+        )
+        assert spy.built == n - 150
+        assert resumed.stats.label_trees_checked == n
 
 
 class TestHangDetectionAndDegradation:
