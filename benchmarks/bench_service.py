@@ -4,8 +4,9 @@
 What the resilience costs, measured against a live in-process server:
 
 * **submit latency** — POST /jobs round-trip for distinct jobs; every
-  accepted submission pays one durable journal flush (fsync'd atomic
-  write), so this is the admission price of "no lost jobs";
+  accepted submission pays one durable journal flush (one fsync'd
+  append to the journal log), so this is the admission price of "no
+  lost jobs";
 * **throughput** — end-to-end jobs/second for a batch of small
   searches (journal flush per state transition included);
 * **cache-hit latency** — repeat submission of an already-decided

@@ -234,7 +234,8 @@ class Complement(Regex):
         return (self.inner,)
 
     def __str__(self) -> str:
-        return f"~{_paren(self.inner, 3)}"
+        # '~' takes an atom: ``~b*`` reads back as ``(~b)*``.
+        return f"~{_paren(self.inner, 4)}"
 
 
 _PRECEDENCE: dict[type, int] = {

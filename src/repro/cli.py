@@ -817,8 +817,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=None,
         metavar="OP:INDEX:MODE",
-        help="deterministically fault journal-write I/O primitives "
-        "(kill-during-journal-write drills; same spec as typecheck)",
+        help="deterministically fault journal I/O primitives: log "
+        "appends and snapshot writes (kill-during-journal-write drills; "
+        "same spec as typecheck)",
     )
     p_srv.add_argument(
         "--inject-service-fault",

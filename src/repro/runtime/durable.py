@@ -12,7 +12,11 @@ single failure:
 * **integrity footer** — the checkpoint document rides inside a JSON
   envelope (schema ``repro.durable`` v1) carrying the CRC32 and SHA-256
   of the canonical payload bytes; silent corruption (bit rot, partial
-  flush) is detected at load time instead of producing a wrong cursor;
+  flush) is detected at load time instead of producing a wrong cursor.
+  The payload is encoded once: the canonical bytes that are hashed are
+  the bytes spliced into the (compact) envelope.  A document with a
+  payload and a footer but a damaged schema tag is corrupt, not a bare
+  legacy document;
 * **generation rotation** — the last *K* verifiable checkpoints are kept
   (``path``, ``path.1`` .. ``path.K-1``); loading falls back to the
   newest generation that verifies, *quarantining* corrupt files with a
@@ -34,7 +38,8 @@ single failure:
   two processes sharing a checkpoint directory cannot interleave their
   rename sequences; a held lock raises :class:`CheckpointError` naming
   the holder's PID instead of corrupting state (off-POSIX the lock
-  degrades to a no-op);
+  degrades to a no-op).  A long-lived writer can instead hold the lock
+  from its first write until it closes (:meth:`DurableStore.hold_lock`);
 * **bounded quarantine** — corrupt generations are renamed to unique
   ``*.corrupt`` names (evidence, never overwritten), but the store keeps
   at most ``generations`` of them per path: a persistently failing
@@ -43,8 +48,11 @@ single failure:
 
 The store also persists arbitrary JSON *documents* (``save_document`` /
 ``load_document``) under the same envelope, rotation, lock, and
-quarantine machinery — the service's job journal
-(:mod:`repro.service.journal`) rides this path.
+quarantine machinery, and keeps an append-only :class:`RecordLog` of
+CRC-framed lines beside them (one write and one fsync per append,
+through the same fault hooks and retry policy) — the service's job
+journal (:mod:`repro.service.journal`) is a log plus a snapshot
+document.
 
 Telemetry (when a registry is attached): ``durable.writes``,
 ``durable.write_retries``, ``durable.recoveries``,
@@ -59,6 +67,7 @@ from __future__ import annotations
 import errno
 import json
 import os
+import re
 import time
 import zlib
 from hashlib import sha256
@@ -83,6 +92,9 @@ __all__ = [
     "ENVELOPE_SCHEMA",
     "ENVELOPE_VERSION",
     "FileSystem",
+    "RecordLog",
+    "frame_record",
+    "scan_frames",
     "unwrap_envelope",
     "wrap_envelope",
 ]
@@ -105,32 +117,45 @@ def _canonical_payload_bytes(payload: dict[str, Any]) -> bytes:
 
 def wrap_envelope(payload: dict[str, Any]) -> bytes:
     """Serialize a checkpoint document into the durable envelope: the
-    payload plus an integrity footer over its canonical bytes."""
+    payload plus an integrity footer over its canonical bytes.
+
+    The payload is encoded once, and those canonical bytes are spliced
+    into the envelope as they are: the result is the compact JSON of
+    the envelope with sorted keys, byte for byte."""
     body = _canonical_payload_bytes(payload)
-    envelope = {
-        "schema": ENVELOPE_SCHEMA,
-        "version": ENVELOPE_VERSION,
-        "payload": payload,
-        "integrity": {
-            "length": len(body),
-            "crc32": zlib.crc32(body),
-            "sha256": sha256(body).hexdigest(),
-        },
-    }
-    return (json.dumps(envelope, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    footer = json.dumps(
+        {"crc32": zlib.crc32(body), "length": len(body), "sha256": sha256(body).hexdigest()},
+        separators=(",", ":"),
+    ).encode("ascii")
+    return b"".join((
+        b'{"integrity":', footer, b',"payload":', body,
+        b',"schema":"%s","version":%d}\n' % (ENVELOPE_SCHEMA.encode("ascii"), ENVELOPE_VERSION),
+    ))
 
 
 def is_envelope(data: Any) -> bool:
-    return isinstance(data, dict) and data.get("schema") == ENVELOPE_SCHEMA
+    """Whether a parsed document is a durable envelope.  A document
+    carrying both a payload and an integrity footer counts even when
+    its schema tag is damaged: :func:`unwrap_envelope` then rejects it
+    as corrupt instead of it passing for a bare legacy document."""
+    return isinstance(data, dict) and (
+        data.get("schema") == ENVELOPE_SCHEMA or ("payload" in data and "integrity" in data)
+    )
 
 
 def unwrap_envelope(data: dict[str, Any]) -> dict[str, Any]:
     """Verify a parsed envelope and return its payload document.
 
     Raises :class:`CheckpointIntegrityError` on any mismatch — wrong
-    version, missing footer, length/CRC32/SHA-256 disagreement.  The
-    CRC32 is checked first (cheap), the SHA-256 is authoritative.
+    schema or version, missing footer, length/CRC32/SHA-256
+    disagreement.  The CRC32 is checked first (cheap), the SHA-256 is
+    authoritative.
     """
+    if data.get("schema") != ENVELOPE_SCHEMA:
+        raise CheckpointIntegrityError(
+            f"durable envelope has schema {data.get('schema')!r}, expected "
+            f"{ENVELOPE_SCHEMA!r} (corrupt envelope)"
+        )
     if data.get("version") != ENVELOPE_VERSION:
         raise CheckpointIntegrityError(
             f"unsupported durable envelope version {data.get('version')!r} "
@@ -184,6 +209,11 @@ class FileSystem:
     def read_bytes(self, path: str) -> bytes:
         with open(path, "rb") as handle:
             return handle.read()
+
+    def open_append(self, path: str) -> Any:
+        """An unbuffered binary handle that appends to ``path``
+        (created if missing); the record log keeps it open."""
+        return open(path, "ab", buffering=0)
 
     def replace(self, src: str, dst: str) -> None:
         os.replace(src, dst)
@@ -267,6 +297,8 @@ class DurableStore:
         self.events: list[str] = []
         """Human-readable recovery/cleanup notes accumulated by load and
         write (the CLI prints them to stderr)."""
+        self._lock_held = False
+        self._held_lock: Optional[Any] = None
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -305,17 +337,23 @@ class DurableStore:
         hook = getattr(self.faults, "io_fault", None)
         return hook(op) if hook is not None else None
 
-    def _apply_write(self, path: str, data: bytes) -> None:
+    def _apply_write(
+        self, path: str, data: bytes, write: Optional[Callable[[str, bytes], None]] = None
+    ) -> None:
+        """One ``write`` primitive through the fault hook; ``write``
+        defaults to replacing the file (the record log passes its
+        append)."""
         from repro.runtime.faults import IO_CRASH_EXIT
 
+        write = write if write is not None else self.fs.write_bytes
         fault = self._fault("write")
         if fault is None:
-            self.fs.write_bytes(path, data)
+            write(path, data)
             return
         if fault.mode == "crash":
             os._exit(IO_CRASH_EXIT)
         if fault.mode in ("torn", "torn-crash"):
-            self.fs.write_bytes(path, data[: max(1, len(data) // 2)])
+            write(path, data[: max(1, len(data) // 2)])
             if fault.mode == "torn-crash":
                 os._exit(IO_CRASH_EXIT)
             raise OSError(errno.EIO, f"injected torn write on {path}")
@@ -330,7 +368,7 @@ class DurableStore:
             position = zlib.crc32(data) % (len(data) * 8)
             damaged = bytearray(data)
             damaged[position // 8] ^= 1 << (position % 8)
-            self.fs.write_bytes(path, bytes(damaged))
+            write(path, bytes(damaged))
             return
         # "fsync" mode on a write op: not meaningful, treat as EIO.
         raise OSError(errno.EIO, f"injected {fault.mode} on {path}")
@@ -398,6 +436,31 @@ class DurableStore:
         finally:
             os.close(fd)
 
+    def hold_lock(self) -> None:
+        """Take the advisory lock now and keep it until
+        :meth:`release_lock`; writes in between reuse it instead of
+        locking each time.  The held descriptor is a file object, so a
+        store dropped without ``release_lock`` still unlocks when it is
+        collected."""
+        if self._lock_held:
+            return
+        fd = self._acquire_lock()
+        self._held_lock = None if fd is None else os.fdopen(fd, "rb", buffering=0)
+        self._lock_held = True
+
+    def release_lock(self) -> None:
+        """Drop a lock taken by :meth:`hold_lock` (no-op otherwise)."""
+        handle, self._held_lock = self._held_lock, None
+        self._lock_held = False
+        if handle is None:
+            return
+        try:
+            fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+        except OSError:
+            pass
+        finally:
+            handle.close()
+
     # -- write ---------------------------------------------------------------
 
     def save_checkpoint(self, checkpoint: AnyCheckpoint) -> None:
@@ -405,31 +468,14 @@ class DurableStore:
         rename + rotation), retrying transient I/O errors."""
         self.save_document(checkpoint.to_dict())
 
-    def save_document(self, payload: dict[str, Any]) -> None:
+    def save_document(self, payload: dict[str, Any]) -> int:
+        """Persist one generation of a JSON document; returns the bytes
+        written."""
         data = wrap_envelope(payload)
         t0 = time.perf_counter()
-        last_error: Optional[OSError] = None
-        lock_fd = self._acquire_lock()
+        lock_fd = None if self._lock_held else self._acquire_lock()
         try:
-            for attempt in range(self.retries + 1):
-                if attempt:
-                    self._count("durable.write_retries")
-                    delay = min(self.backoff_cap, self.backoff_base * (2 ** (attempt - 1)))
-                    self._sleep(delay * (1.0 + self._rng.random()))
-                try:
-                    self._write_once(data)
-                    break
-                except OSError as exc:
-                    last_error = exc
-                    if exc.errno not in _TRANSIENT_ERRNOS:
-                        raise CheckpointError(
-                            f"cannot write checkpoint {self.path!r}: {exc}"
-                        ) from exc
-            else:
-                raise CheckpointError(
-                    f"cannot write checkpoint {self.path!r} after "
-                    f"{self.retries + 1} attempts: {last_error}"
-                ) from last_error
+            self.retrying(lambda: self._write_once(data), f"checkpoint {self.path!r}")
         finally:
             self._release_lock(lock_fd)
         self._count("durable.writes")
@@ -443,6 +489,29 @@ class DurableStore:
                 fsync=self.fsync,
                 generations=self.generations,
             )
+        return len(data)
+
+    def retrying(self, attempt: Callable[[], None], what: str) -> None:
+        """Run one write ``attempt``, retrying transient I/O errors with
+        exponential backoff and deterministic jitter.  Raises
+        :class:`CheckpointError` naming ``what`` when an error is
+        structural or the retries run out."""
+        last_error: Optional[OSError] = None
+        for n in range(self.retries + 1):
+            if n:
+                self._count("durable.write_retries")
+                delay = min(self.backoff_cap, self.backoff_base * (2 ** (n - 1)))
+                self._sleep(delay * (1.0 + self._rng.random()))
+            try:
+                attempt()
+                return
+            except OSError as exc:
+                last_error = exc
+                if exc.errno not in _TRANSIENT_ERRNOS:
+                    raise CheckpointError(f"cannot write {what}: {exc}") from exc
+        raise CheckpointError(
+            f"cannot write {what} after {self.retries + 1} attempts: {last_error}"
+        ) from last_error
 
     def _write_once(self, data: bytes) -> None:
         tmp = self.tmp_path
@@ -654,6 +723,137 @@ class DurableStore:
             except OSError as exc:
                 self._note(f"could not remove lock file {self.lock_path}: {exc}")
         self.clean_stale_tmp()
+
+
+# -- append-only record log ---------------------------------------------------
+
+_FRAME_HEAD = re.compile(rb"(\d{1,10}) ([0-9a-f]{8}) ")
+
+
+def frame_record(body: bytes) -> bytes:
+    """One log line: ``<length> <crc32 hex> <body>\\n``.  ``body`` must
+    not contain a newline (compact JSON never does)."""
+    return b"%d %08x " % (len(body), zlib.crc32(body)) + body + b"\n"
+
+
+def scan_frames(data: bytes) -> list[tuple[Optional[bytes], int, int]]:
+    """Split log bytes into ``(body, start, end)`` triples in order.
+
+    ``body`` is ``None`` for a damaged stretch: a line whose header,
+    length or CRC32 does not check, which runs to the next newline (or
+    to the end of the data).  The length in the header lets a whole
+    frame survive a damaged terminator byte, and resynchronising on the
+    next newline keeps one bad line from taking its successor with it.
+    """
+    out: list[tuple[Optional[bytes], int, int]] = []
+    pos, size = 0, len(data)
+    while pos < size:
+        head = _FRAME_HEAD.match(data, pos)
+        if head is not None:
+            start = head.end()
+            stop = start + int(head.group(1))
+            if stop < size and zlib.crc32(data[start:stop]) == int(head.group(2), 16):
+                out.append((data[start:stop], pos, stop + 1))
+                pos = stop + 1
+                continue
+        newline = data.find(b"\n", pos)
+        end = size if newline < 0 else newline + 1
+        out.append((None, pos, end))
+        pos = end
+    return out
+
+
+class RecordLog:
+    """An append-only, CRC-framed record log beside a store's snapshot.
+
+    ``path`` is the live segment; :meth:`rotate` retires it to
+    ``path.1`` (replacing the older one) when the owner has folded it
+    into a new snapshot.  One :meth:`append` is one write and one fsync,
+    both through the store's fault hooks and retry policy.  A failed
+    attempt truncates the segment back to its last good length before
+    the next one, so a torn line never swallows the line after it.
+    """
+
+    def __init__(self, store: DurableStore, path: str) -> None:
+        self.store = store
+        self.path = path
+        self.size: Optional[int] = None
+        """Bytes of whole frames in the live segment (``None`` until
+        read or opened)."""
+        self._handle: Optional[Any] = None
+        self._dirty = False
+
+    def segment_path(self, index: int) -> str:
+        return self.path if index == 0 else f"{self.path}.{index}"
+
+    def read(self, index: int) -> bytes:
+        """The raw bytes of segment ``index`` (empty when missing)."""
+        try:
+            return self.store.fs.read_bytes(self.segment_path(index))
+        except FileNotFoundError:
+            return b""
+        except OSError as exc:
+            raise CheckpointError(f"cannot read log {self.segment_path(index)!r}: {exc}") from exc
+
+    def append(self, bodies: list[bytes]) -> int:
+        """Append one framed line per body, durably; returns the bytes
+        appended.  Raises :class:`CheckpointError` when the write cannot
+        be made to stick."""
+        data = b"".join(frame_record(body) for body in bodies)
+        self.store.retrying(lambda: self._append_once(data), f"log {self.path!r}")
+        assert self.size is not None
+        self.size += len(data)
+        return len(data)
+
+    def _open(self) -> Any:
+        if self._handle is None:
+            handle = self.store.fs.open_append(self.path)
+            if self.size is None:
+                frames = scan_frames(self.read(0))
+                good = [end for body, _, end in frames if body is not None]
+                self.size = good[-1] if good else 0
+            # Bytes past the last whole frame are a torn tail left by a
+            # crash: cut them before anything lands behind them.
+            self._dirty = os.fstat(handle.fileno()).st_size != self.size
+            self._handle = handle
+        return self._handle
+
+    def _append_once(self, data: bytes) -> None:
+        handle = self._open()
+        if self._dirty:
+            handle.truncate(self.size)
+        self._dirty = True
+
+        def write_all(_path: str, chunk: bytes) -> None:
+            view = memoryview(chunk)
+            while view:
+                view = view[handle.write(view):]
+
+        self.store._apply_write(self.path, data, write_all)
+        if self.store.fsync:
+            self.store._apply_simple("fsync", lambda: os.fsync(handle.fileno()), self.path)
+        self._dirty = False
+
+    def rotate(self) -> None:
+        """Retire the live segment to ``path.1`` and start an empty one."""
+        self.close()
+        self.size = None  # rescan on the next open if the rename fails
+        fs = self.store.fs
+        if fs.exists(self.path):
+            older = self.segment_path(1)
+            try:
+                self.store._apply_simple("replace", lambda: fs.replace(self.path, older), self.path)
+                if self.store.fsync:
+                    parent = os.path.dirname(os.path.abspath(self.path)) or "."
+                    self.store._apply_simple("fsyncdir", lambda: fs.fsync_dir(parent), parent)
+            except OSError as exc:
+                raise CheckpointError(f"cannot rotate log {self.path!r}: {exc}") from exc
+        self.size = 0
+
+    def close(self) -> None:
+        handle, self._handle = self._handle, None
+        if handle is not None:
+            handle.close()
 
 
 # -- periodic autosave --------------------------------------------------------

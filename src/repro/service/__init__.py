@@ -10,7 +10,8 @@ restarted server resumes exactly where the dead one stopped.
 
 Layers (each its own module, coordinator-owned state throughout):
 
-* :mod:`.journal` — durable job table; replay + quarantine on restart;
+* :mod:`.journal` — durable job table (append-only log + snapshot);
+  replay + quarantine on restart;
 * :mod:`.admission` — bounded queue, per-tenant budgets, 429/503 load
   shedding with truthful ``Retry-After``;
 * :mod:`.scheduler` — slice/preempt/resume state machine, retry with

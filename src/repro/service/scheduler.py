@@ -368,9 +368,13 @@ class JobScheduler:
         if fault is not None:
             raise ServiceFaultError(f"injected service fault at point {point!r}")
 
-    def flush(self) -> None:
-        """Persist the journal (consulting the ``journal`` fault point —
-        the kill-during-journal-write drill lives here)."""
+    def flush(self, *records: JobRecord) -> None:
+        """Persist the transitions of ``records`` (consulting the
+        ``journal`` fault point first — the kill-during-journal-write
+        drill lives here).  The records are named to the journal before
+        the fault point, so a transition whose flush fails is written by
+        the next flush."""
+        self.journal.touch(*records)
         self._service_fault("journal")
         self.journal.flush()
 
@@ -440,7 +444,7 @@ class JobScheduler:
             if record.state == DONE and record.result is not None:
                 self.result_cache.setdefault(record.fingerprint, record.result)
         if existed:
-            self.flush()
+            self.flush(*(self.journal.jobs[job_id] for job_id in recovered))
         return recovered
 
     # -- submission ----------------------------------------------------------
@@ -496,7 +500,7 @@ class JobScheduler:
             submission=sub.payload,
         )
         self.journal.add(record)
-        self.flush()
+        self.flush(record)
         self._count("service.submitted")
         self._publish(
             "job_submitted",
@@ -532,7 +536,7 @@ class JobScheduler:
             return 202, {"id": record.id, "state": record.state, "cancelling": True}
         record.state = CANCELLED
         self.job_store(job_id).clear()
-        self.flush()
+        self.flush(record)
         self._count("service.cancelled")
         self._publish("job_cancelled", job_id=record.id, while_state="queued")
         return 200, {"id": record.id, "state": record.state}
@@ -571,7 +575,7 @@ class JobScheduler:
         record.state = RUNNING
         self.running_tokens[record.id] = token
         self.last_sliced = record.id
-        self.flush()
+        self.flush(record)
         if was_fresh:
             self._publish("job_running", job_id=record.id, attempts=record.attempts)
         self._publish(
@@ -581,6 +585,12 @@ class JobScheduler:
             attempts=record.attempts,
         )
         return token
+
+    def slice_deadline(self, seconds: float) -> Deadline:
+        """The deadline one slice runs under: ``seconds`` of wall clock.
+        Replace it to end slices by another rule (a fixed number of
+        engine polls makes preemption independent of machine speed)."""
+        return Deadline.after(seconds)
 
     def run_slice(self, job_id: str, token: CancellationToken) -> SliceOutcome:
         """Executor-side: run one time slice of the job's search.  Reads
@@ -629,7 +639,7 @@ class JobScheduler:
                     interval=self.config.progress_interval,
                 ).tick
             control = RuntimeControl(
-                deadline=Deadline.after(slice_seconds),
+                deadline=self.slice_deadline(slice_seconds),
                 token=token,
                 max_rss_mb=policy.max_rss_mb,
                 autosave=CheckpointAutosave(
@@ -816,7 +826,7 @@ class JobScheduler:
             # A cancel that raced a terminal outcome must not linger and
             # cancel a future job that reuses nothing but our attention.
             self.cancel_requested.discard(job_id)
-        self.flush()
+        self.flush(record)
 
     # -- drain / stats -------------------------------------------------------
 

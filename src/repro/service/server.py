@@ -11,7 +11,7 @@ One process, three moving parts:
   the result cache all live behind it;
 * the **drain path**: SIGTERM/SIGINT stops admission (503), cancels the
   running slices cooperatively, waits for their checkpoints to flush,
-  persists the journal one last time, and exits **3** — the repo-wide
+  folds the journal log into a snapshot, and exits **3** — the repo-wide
   "interrupted, resumable" exit code.  A second signal during the drain
   force-exits immediately (``os._exit(3)``), the operator's escape
   hatch when a slice refuses to stop.
@@ -263,7 +263,10 @@ class JobServer:
         if self._pump_task is not None:
             await self._pump_task
         try:
+            # Any transition whose flush failed, then fold the log into
+            # a snapshot and release the journal lock.
             self.scheduler.flush()
+            self.journal.close()
         except Exception as exc:  # noqa: BLE001 - drain must reach exit
             self._log(f"final journal flush failed: {exc}")
         if self._executor is not None:

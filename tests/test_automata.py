@@ -92,6 +92,14 @@ class TestRegexParser:
                 r2.to_dfa(frozenset({"a", "b", "c", "e"}))
             )
 
+    def test_complement_of_a_postfix_prints_unambiguously(self):
+        # The printed form keys the enumeration-table memo and the
+        # checkpoint fingerprint, so it must parse back to the same tree.
+        for text in ["~(b*)", "(~b)*", "~(a?)", "~(~a)", "~(a.b)*"]:
+            r = parse_regex(text)
+            assert parse_regex(str(r)) == r, (text, str(r))
+        assert str(parse_regex("~(b*)")) != str(parse_regex("(~b)*"))
+
 
 class TestSmartConstructors:
     def test_concat_unit(self):

@@ -17,6 +17,7 @@ from repro.obs import Telemetry
 from repro.ql.ast import Condition, Const, ConstructNode, Edge, Query, Where
 from repro.ql.serde import query_to_dict
 from repro.runtime import DurableStore, FaultInjector, FaultPlan, ServiceFault
+from repro.runtime.control import Deadline
 from repro.service import (
     AdmissionControl,
     JobJournal,
@@ -78,6 +79,20 @@ def make_scheduler(tmp_path, *, config=None, admission=None, faults=None, teleme
         telemetry=telemetry,
         faults=faults,
     )
+
+
+class PollBudget(Deadline):
+    """A slice deadline that expires after a fixed number of engine
+    polls (one per instance) instead of wall time, so where a slice
+    ends does not depend on how fast the machine is."""
+
+    def __init__(self, polls: int) -> None:
+        super().__init__(float("inf"))
+        self.polls = polls
+
+    def expired(self) -> bool:
+        self.polls -= 1
+        return self.polls < 0
 
 
 def pump(scheduler, max_iters=500, wait_backoff=True):
@@ -258,19 +273,19 @@ class TestScheduler:
         assert record.result["valued_trees_checked"] == ref.stats.valued_trees_checked
 
     def test_preemption_slices_and_resumes_exactly(self, tmp_path):
-        # Slices must be wide enough to dwarf the fixed per-slice cost
-        # (journal flush + checkpoint resume, several ms on a loaded
-        # 1-core box) or the job needs hundreds of slices to finish.
+        # Each slice ends after 2,000 instances, so the 8,000-instance
+        # job is preempted at fixed cursors on any machine.
         scheduler = make_scheduler(
             tmp_path,
             config=SchedulerConfig(slice_seconds=0.05, checkpoint_every=100),
         )
+        scheduler.slice_deadline = lambda seconds: PollBudget(2000)
         status, body = scheduler.submit(payload(max_size=9, max_instances=8000))
         assert status == 202
         pump(scheduler)
         record = scheduler.journal.get(body["id"])
         assert record.state == DONE
-        assert record.slices >= 2, "job should have been preempted at least once"
+        assert record.slices == 5, "job should have been preempted at every 2,000 instances"
         ref = reference_result(max_size=9, max_instances=8000)
         assert record.result["verdict"] == ref.verdict.value
         assert record.result["valued_trees_checked"] == ref.stats.valued_trees_checked
@@ -280,6 +295,7 @@ class TestScheduler:
             tmp_path,
             config=SchedulerConfig(slice_seconds=0.05, checkpoint_every=100),
         )
+        scheduler.slice_deadline = lambda seconds: PollBudget(1000)
         _, a = scheduler.submit(payload(max_size=9, max_instances=4000))
         _, b = scheduler.submit(payload(max_size=9, max_instances=4001))
         order = []
@@ -293,10 +309,9 @@ class TestScheduler:
         assert scheduler.journal.get(a["id"]).state == DONE
         assert scheduler.journal.get(b["id"]).state == DONE
         # Round robin: the second job gets its first slice right after
-        # the first job's first slice, not after the first job finishes.
-        assert order[0] == a["id"] and order[1] == b["id"]
-        if order.count(a["id"]) >= 2:
-            assert order[2] == a["id"]
+        # the first job's first slice, not after the first job finishes,
+        # and the two alternate until both are done.
+        assert order == [a["id"], b["id"]] * 5
 
     def test_result_cache_serves_repeat_submission(self, tmp_path):
         telemetry = Telemetry()
