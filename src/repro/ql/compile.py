@@ -18,14 +18,17 @@ the work by what can actually change between calls:
   dedup, everything except condition filtering, which is the only part of
   binding enumeration that reads data values.
 * **per value assignment** (:meth:`BoundTree.evaluate`): write the values
-  onto the working copy in place (no ``tree.copy()``), filter the cached
-  structural bindings through the conditions, and instantiate the output.
-* **per verdict** (:meth:`BoundTree.verdict_key`): the set of structural
+  onto the working copy in place (no ``tree.copy()``), keep the cached
+  structural bindings that survive the conditions, and instantiate the
+  output.
+* **per verdict** (:meth:`BoundTree.step_key`): the set of structural
   rows that survive the conditions, computed over interned value codes
-  (:func:`repro.trees.values.enumerate_value_codes`) without touching the
-  tree.  Only this set decides the output's labeled shape, so the search
-  memoizes passing verdicts on it and skips ``evaluate`` and validation
-  for every further assignment with the same key.
+  (:func:`repro.trees.values.walk_value_codes`) without touching the
+  tree, and only for the code positions that changed since the previous
+  assignment.  Only this set decides the output's labeled shape, so the
+  search memoizes passing verdicts on it and skips ``evaluate`` and
+  validation for every further assignment with the same key; on a miss,
+  ``evaluate`` selects the surviving rows by the key's masks.
 
 Soundness of the alphabet widening: for a fixed word ``w`` over the
 candidate tree's labels, membership in the language of a regex over
@@ -126,17 +129,23 @@ class _KeyTable:
     """The structural rows of one ``(subquery, restriction)`` with their
     conditions compiled to value-code slots, for :meth:`BoundTree.verdict_key`.
 
-    ``checks[i]`` lists row ``i``'s conditions as ``(left slot, right,
-    is_eq)``: ``right >= 0`` is a slot, ``right < 0`` a constant's code.
-    ``restrictions[i][j]`` is row ``i``'s projection onto nested leaf
-    ``j``'s arguments (node positions); ``visits`` memoizes, per surviving
-    mask, the nested tables that mask leads into, in evaluation order.
+    ``skey`` is the table's structural-cache key and ``full`` the mask of
+    all its rows.  ``checks[i]`` lists row ``i``'s conditions as ``(left
+    slot, right, is_eq)``: ``right >= 0`` is a slot, ``right < 0`` a
+    constant's code.  ``restrictions[i][j]`` is row ``i``'s projection
+    onto nested leaf ``j``'s arguments (node positions); ``visits``
+    memoizes, per surviving mask, the nested tables that mask leads into,
+    in evaluation order.
     """
 
-    __slots__ = ("sub", "checks", "restrictions", "visits")
+    __slots__ = ("sub", "skey", "full", "checks", "restrictions", "visits")
 
-    def __init__(self, sub: _CompiledSub, checks: list, restrictions: list) -> None:
+    def __init__(
+        self, sub: _CompiledSub, skey: tuple, checks: list, restrictions: list
+    ) -> None:
         self.sub = sub
+        self.skey = skey
+        self.full = (1 << len(checks)) - 1
         self.checks = checks
         self.restrictions = restrictions
         self.visits: dict[int, tuple["_KeyTable", ...]] = {}
@@ -191,9 +200,9 @@ class CompiledQuery:
         ``cache_hits``/``cache_misses`` counters this context bumps.
 
         ``value_positions`` (document-order node positions, one per value
-        code) enables :meth:`BoundTree.verdict_key`; the conditions are
-        compiled against those slots here, and only when the query has
-        data conditions."""
+        code) enables the verdict keys (:meth:`BoundTree.step_key`); the
+        conditions are compiled against those slots here, and only when
+        the query has data conditions."""
         return BoundTree(self, tree, stats, value_positions)
 
 
@@ -218,6 +227,8 @@ class BoundTree:
         "_slots",
         "_const_codes",
         "_top",
+        "_steps",
+        "_alive",
     )
 
     def __init__(
@@ -248,24 +259,74 @@ class BoundTree:
                 v: -1 - k for k, v in enumerate(dict.fromkeys(cq.constants))
             }
             self._top = self._key_table(cq._subs[id(cq.query)], {})
+            self._steps = self._prefix_steps(self._top, len(value_positions))
+            # _alive[p]: the top table's rows that survive every check
+            # decided before slot p, for the vector step_key saw last.
+            self._alive = [self._top.full] * (len(value_positions) + 1)
             self.passing = set()
 
     # -- per-assignment entry -------------------------------------------------
 
-    def evaluate(self, values: Sequence[Any]) -> Optional[DataTree]:
+    def evaluate(self, values: Sequence[Any], key: Any = None) -> Optional[DataTree]:
         """Evaluate the compiled query with ``values`` placed on the tree
         in document order; semantics identical to
-        :func:`repro.ql.eval.evaluate` on ``assign_values(tree, values)``."""
+        :func:`repro.ql.eval.evaluate` on ``assign_values(tree, values)``.
+
+        ``key``, when given, is the verdict key of the same assignment
+        (:meth:`step_key`): every table's rows are then selected by the
+        surviving-row mask the key already carries, and no condition is
+        tested again.  The values are written either way — ``val(x)``
+        reads them."""
         nodes = self.nodes
         if len(values) != len(nodes):
             raise ValueError(f"need {len(nodes)} values, got {len(values)}")
         for node, value in zip(nodes, values):
             node.value = value
             node._hash = None  # structure_key includes the value
-        forest = self._forest(self.cq._subs[id(self.cq.query)], {})
+        masks = None if key is None else self._masks(key)
+        forest = self._forest(self.cq._subs[id(self.cq.query)], {}, masks)
         if not forest:
             return None
         return DataTree(_single_root(forest))
+
+    def step_key(self, first: int, codes: Sequence[int]) -> Any:
+        """The verdict key of ``codes``, the next vector of a
+        :func:`~repro.trees.values.walk_value_codes` walk that differs from
+        the vector this context saw last from position ``first`` on
+        (``first == 0`` starts afresh).  Equal to ``verdict_key(codes)``,
+        but the top table's surviving rows are kept per prefix, so a step
+        redoes only the positions from ``first`` on, and each of those
+        reads a per-slot memo instead of testing its checks.
+
+        Callers feed every vector of one walk, in order; the search calls
+        this only after an instance's polls, so an instance that is never
+        processed computes nothing."""
+        alive = self._alive
+        mask = alive[first]
+        steps = self._steps
+        for p in range(first, len(steps)):
+            step = steps[p]
+            if step is not None:
+                # A check decided at slot p compares p with an earlier slot
+                # in ``rel`` (or itself, or a constant): its outcome is a
+                # function of which constant codes[p] is, if any, and which
+                # slots of ``rel`` share its code.
+                rel, checks, memo = step
+                c = codes[p]
+                k = -c if c < 0 else 0
+                for q in rel:
+                    k += k + (codes[q] == c)
+                keep = memo.get(k)
+                if keep is None:
+                    keep = memo[k] = _keep(alive[0], checks, codes)
+                mask &= keep
+            alive[p + 1] = mask
+        top = self._top
+        if not top.sub.nested:
+            return mask
+        out: list[int] = []
+        self._nested_key(top, mask, codes, out)
+        return tuple(out)
 
     def verdict_key(self, codes: Sequence[int]) -> Any:
         """Which structural rows survive the conditions under the value
@@ -278,6 +339,9 @@ class BoundTree:
         labels (values only through ``val(x)``), so the surviving rows fix
         every output node's label and children.  A validator that reads
         only labels therefore reaches the same verdict on both.
+
+        This recomputes every check from scratch; the search uses the
+        incremental :meth:`step_key`, and the tests hold the two equal.
         """
         top = self._top
         mask = self._survivors(top, codes)
@@ -299,6 +363,47 @@ class BoundTree:
                 mask |= bit
             bit <<= 1
         return mask
+
+    @staticmethod
+    def _prefix_steps(table: _KeyTable, n_slots: int) -> list:
+        """Per value slot ``p``: ``None`` when no check of ``table`` is
+        decided at ``p``, else ``(rel, checks, memo)`` — the earlier slots
+        those checks compare ``p`` with, the checks as ``(row bit, left,
+        right, is_eq)``, and an empty memo of rows kept per outcome.  A
+        check is decided at its later slot (a constant's code is
+        negative, so ``max`` picks the slot)."""
+        grouped: list[Optional[tuple[set[int], list]]] = [None] * n_slots
+        for i, row_checks in enumerate(table.checks):
+            for left, right, eq in row_checks:
+                p = max(left, right)
+                if grouped[p] is None:
+                    grouped[p] = (set(), [])
+                rel, checks = grouped[p]
+                if right >= 0 and left != right:
+                    rel.add(left + right - p)
+                checks.append((1 << i, left, right, eq))
+        return [
+            None if g is None else (tuple(sorted(g[0])), tuple(g[1]), {})
+            for g in grouped
+        ]
+
+    def _masks(self, key: Any) -> dict[tuple, int]:
+        """The surviving-row mask of every table a verdict key visits,
+        by structural-cache key."""
+        top = self._top
+        if not top.sub.nested:
+            return {top.skey: key}
+        masks = {top.skey: key[0]}
+        self._unpack(top, key, 1, masks)
+        return masks
+
+    def _unpack(self, table: _KeyTable, key: tuple, at: int, masks: dict) -> int:
+        # Inverse of _nested_key: the visits memo it filled names the
+        # tables that follow each mask.
+        for child in table.visits[key[at - 1]]:
+            masks[child.skey] = key[at]
+            at = self._unpack(child, key, at + 1, masks)
+        return at
 
     def _nested_key(
         self, table: _KeyTable, mask: int, codes: Sequence[int], out: list[int]
@@ -332,7 +437,8 @@ class BoundTree:
         slots = self._slots
         const_codes = self._const_codes
         order = self.order
-        rows = self._structural_bindings(sub, gamma)
+        skey = self._skey(sub, gamma)
+        rows = self._structural_bindings(sub, gamma, skey)
         checks = []
         for row in rows:
             row_checks = []
@@ -350,7 +456,7 @@ class BoundTree:
             tuple(tuple(order[id(row[a])] for a in n.args) for n in sub.nested)
             for row in rows
         ]
-        return _KeyTable(sub, checks, restrictions)
+        return _KeyTable(sub, skey, checks, restrictions)
 
     # -- cached structure -----------------------------------------------------
 
@@ -382,9 +488,13 @@ class BoundTree:
         self._targets[key] = out
         return out
 
-    def _structural_bindings(self, sub: _CompiledSub, gamma: Binding) -> list[Binding]:
+    def _skey(self, sub: _CompiledSub, gamma: Binding) -> tuple:
         order = self.order
-        key = (id(sub.query), tuple(order[id(gamma[v])] for v in sub.free_order))
+        return (id(sub.query), tuple(order[id(gamma[v])] for v in sub.free_order))
+
+    def _structural_bindings(
+        self, sub: _CompiledSub, gamma: Binding, key: tuple
+    ) -> list[Binding]:
         hit = self._structural.get(key)
         if hit is not None:
             if self.stats is not None:
@@ -433,17 +543,28 @@ class BoundTree:
 
     # -- value-dependent evaluation ------------------------------------------
 
-    def _forest(self, sub: _CompiledSub, gamma: Binding) -> list[Node]:
-        bnds = self._structural_bindings(sub, gamma)
+    def _forest(
+        self, sub: _CompiledSub, gamma: Binding, masks: Optional[dict[tuple, int]]
+    ) -> list[Node]:
+        skey = self._skey(sub, gamma)
+        bnds = self._structural_bindings(sub, gamma, skey)
         if sub.conditions and bnds:
-            bnds = [
-                b for b in bnds if all(_condition_holds(c, b) for c in sub.conditions)
-            ]
+            if masks is not None:
+                mask = masks[skey]
+                bnds = [b for i, b in enumerate(bnds) if mask >> i & 1]
+            else:
+                bnds = [
+                    b
+                    for b in bnds
+                    if all(_condition_holds(c, b) for c in sub.conditions)
+                ]
         if not bnds:
             return []
-        return self._instantiate(sub.query.construct, bnds)
+        return self._instantiate(sub.query.construct, bnds, masks)
 
-    def _instantiate(self, cnode: ConstructNode, bnds: list[Binding]) -> list[Node]:
+    def _instantiate(
+        self, cnode: ConstructNode, bnds: list[Binding], masks: Optional[dict]
+    ) -> list[Node]:
         order = self.order
         groups: dict[tuple[int, ...], list[Binding]] = {}
         for b in bnds:
@@ -457,13 +578,15 @@ class BoundTree:
             children: list[Node] = []
             for child in cnode.children:
                 if isinstance(child, ConstructNode):
-                    children.extend(self._instantiate(child, group))
+                    children.extend(self._instantiate(child, group, masks))
                 else:
-                    children.extend(self._nested_roots(child, group))
+                    children.extend(self._nested_roots(child, group, masks))
             out.append(Node(label, children, value))
         return out
 
-    def _nested_roots(self, nested: NestedQuery, bnds: list[Binding]) -> list[Node]:
+    def _nested_roots(
+        self, nested: NestedQuery, bnds: list[Binding], masks: Optional[dict]
+    ) -> list[Node]:
         order = self.order
         sub = self.cq._subs[id(nested.query)]
         out: list[Node] = []
@@ -476,8 +599,18 @@ class BoundTree:
             if key in seen:
                 continue
             seen.add(key)
-            out.extend(self._forest(sub, {a: b[a] for a in nested.args}))
+            out.extend(self._forest(sub, {a: b[a] for a in nested.args}, masks))
         return out
+
+
+def _keep(full: int, checks: tuple, codes: Sequence[int]) -> int:
+    """``full`` minus the rows whose check in ``checks`` (``(row bit,
+    left, right, is_eq)``) fails under ``codes``."""
+    keep = full
+    for bit, left, right, eq in checks:
+        if (codes[left] == (codes[right] if right >= 0 else right)) is not eq:
+            keep &= ~bit
+    return keep
 
 
 # -- process-level memo -------------------------------------------------------

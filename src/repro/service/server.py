@@ -162,6 +162,7 @@ class JobServer:
         self._started_at = time.monotonic()
         self._pump_task: Optional[asyncio.Task] = None
         self._signals_installed: list[int] = []
+        self._signalled = False  # a signal started the drain
         # Live SSE connections: their per-connection wake events (set at
         # drain so every stream notices promptly) and their handler tasks
         # (awaited at drain so teardown is clean, not abandoned).
@@ -227,6 +228,7 @@ class JobServer:
             # Second signal during the drain: the operator means it.
             self._log("second signal during drain; forcing exit")
             os._exit(EXIT_DRAINED)
+        self._signalled = True
         self._log(f"received signal {sig}; draining (signal again to force exit)")
         # Re-arm both signals as raw force-exit handlers *before* the
         # drain starts: a second delivery must work even when the drain
@@ -302,6 +304,14 @@ class JobServer:
                     loop.remove_signal_handler(sig)
                 except (NotImplementedError, RuntimeError):  # pragma: no cover
                     pass
+                if self._signalled:
+                    # The drain is done and the process is on its way out
+                    # with the drain code.  The removal above put the
+                    # default action back, and interpreter teardown would
+                    # do the same to a Python handler: a second signal
+                    # landing there killed the process (exit -15).  There
+                    # is nothing left to force, so ignore it.
+                    signal.signal(sig, signal.SIG_IGN)
         return self.exit_code
 
     async def stop(self) -> None:

@@ -82,12 +82,34 @@ def enumerate_value_codes(
 
     Order per position: every constant, then each anonymous class already
     open, then one fresh class (up to ``max_classes``) — a restricted-growth
-    string, so permuting anonymous values never yields a duplicate.  The
-    walk is an odometer over that order rather than a recursion, so one
-    vector costs one tuple, not a generator frame per node.
+    string, so permuting anonymous values never yields a duplicate.
 
     ``start`` skips that many vectors without walking them (a resumed
     search continues mid-tree in time independent of the cursor).
+
+    These are the vectors of :func:`walk_value_codes` without the
+    changed-position marks.
+    """
+    for _, codes in walk_value_codes(n_nodes, n_constants, max_classes, start):
+        yield codes
+
+
+def walk_value_codes(
+    n_nodes: int,
+    n_constants: int = 0,
+    max_classes: Optional[int] = None,
+    start: int = 0,
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The vectors of :func:`enumerate_value_codes`, in the same order,
+    each paired with the first position where it differs from the vector
+    before it (``0`` for the first vector yielded, ``start > 0``
+    included).  A consumer that keeps per-prefix state — the search's
+    verdict key, :meth:`repro.ql.compile.BoundTree.step_key` — redoes only
+    the positions from that mark on.
+
+    The walk is an odometer over the per-position order rather than a
+    recursion, so one vector costs one tuple, not a generator frame per
+    node; most steps change only the last position.
     """
     if start < 0:
         raise ValueError(f"start must be >= 0, got {start}")
@@ -96,7 +118,7 @@ def enumerate_value_codes(
     if start >= rows[n_nodes][0]:
         return
     if n_nodes == 0:
-        yield ()
+        yield 0, ()
         return
     first = -1 if n_constants else 0
     last_const = -n_constants
@@ -113,24 +135,33 @@ def enumerate_value_codes(
             start -= rest[after]
         digits.append(code)
         opened[i + 1] = after
+    last = n_nodes - 1
+    i = 0
     while True:
-        yield tuple(digits)
-        i = n_nodes - 1
+        yield i, tuple(digits)
+        # Advance the rightmost position that has a next digit.
+        i = last
         while i >= 0:
             d = digits[i]
             if d < 0:
-                nxt = d - 1 if d > last_const else 0
+                if d > last_const:
+                    nxt = d - 1
+                    break
+                nxt = 0
             else:
                 nxt = d + 1
-            if nxt < 0 or nxt < min(opened[i] + 1, cap):
+            if nxt <= opened[i] and nxt < cap:
                 break
             i -= 1
         if i < 0:
             return
         digits[i] = nxt
-        digits[i + 1 :] = [first] * (n_nodes - i - 1)
-        for j in range(i, n_nodes):
-            opened[j + 1] = max(opened[j], digits[j] + 1)
+        if i < last:
+            # The positions after i restart at ``first``, which opens no
+            # class past those digits[:i + 1] opened (``first`` is 0 only
+            # without constants, and then nxt >= 0 has opened one).
+            digits[i + 1 :] = [first] * (last - i)
+            opened[i + 1 :] = [max(opened[i], nxt + 1)] * (last - i + 1)
 
 
 def value_decoder(

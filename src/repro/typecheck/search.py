@@ -33,6 +33,7 @@ uninterrupted one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from time import perf_counter
 from typing import Callable, Optional, Union
 
@@ -55,7 +56,7 @@ from repro.runtime.checkpoint import (
 from repro.runtime.control import OperationInterrupted, RuntimeControl
 from repro.runtime.shard import SearchTask, ShardSpec, plan_shards
 from repro.trees.data_tree import DataTree, Node
-from repro.trees.values import assign_values, enumerate_value_codes, value_decoder
+from repro.trees.values import assign_values, value_decoder, walk_value_codes
 from repro.typecheck.errors import EvaluationError, WitnessVerificationError
 from repro.typecheck.result import SearchStats, TypecheckResult, Verdict
 
@@ -144,27 +145,39 @@ def _order_insensitive(tau1: DTD, output_type) -> bool:
     return False
 
 
+# The walk of a condition-free label tree: its one (empty) code vector.
+_NO_CODES = ((0, ()),)
+
+
+@lru_cache(maxsize=64)
+def _fresh_decoder(n_nodes: int) -> Callable[[tuple], tuple]:
+    """The decoder of a condition-free search for trees of ``n_nodes``
+    nodes: every node a distinct fresh value, one filler per size."""
+    filler = tuple(f"_v{i}" for i in range(n_nodes))
+    return lambda codes: filler
+
+
 def _value_codes(
     labels: DataTree, needs_values: bool, constants, max_classes, relevant_tags, start: int = 0
 ):
-    """The value-code stream of a label tree (from position ``start``) and
+    """The value-code walk of a label tree (from position ``start``) and
     its decoder.
 
-    Codes (:func:`~repro.trees.values.enumerate_value_codes`) cover the
-    nodes whose tags the query can compare (``relevant_tags``, ``None`` =
-    all of them), listed in ``positions``; ``decode(codes)`` builds the
-    full document-order value vector, giving every other node a unique
-    fresh value.  Without data conditions the stream is one empty code
-    vector that decodes to all-distinct values — the coarsest assignment
-    satisfying every != and no =, the same candidate as fresh_values().
+    The walk (:func:`~repro.trees.values.walk_value_codes`) yields
+    ``(first changed position, codes)``; the codes cover the nodes whose
+    tags the query can compare (``relevant_tags``, ``None`` = all of
+    them), listed in ``positions``; ``decode(codes)`` builds the full
+    document-order value vector, giving every other node a unique fresh
+    value.  Without data conditions the walk is one empty code vector that
+    decodes to all-distinct values — the coarsest assignment satisfying
+    every != and no =, the same candidate as fresh_values().
 
     This is the *shared* enumeration order of the cached and uncached
     evaluation paths — checkpoints, shard cursors, and fault-injection
     indices count the same stream either way."""
-    nodes = labels.nodes()
     if not needs_values:
-        filler = tuple(f"_v{i}" for i in range(len(nodes)))
-        return [], iter([()][start:]), lambda codes: filler
+        return [], _NO_CODES[start:], _fresh_decoder(labels.size())
+    nodes = labels.nodes()
     if relevant_tags is None:
         positions = list(range(len(nodes)))
     else:
@@ -178,10 +191,8 @@ def _value_codes(
             values[i] = table[code]
         return tuple(values)
 
-    stream = enumerate_value_codes(
-        len(positions), len(dict.fromkeys(constants)), max_classes, start
-    )
-    return positions, stream, decode
+    walk = walk_value_codes(len(positions), len(dict.fromkeys(constants)), max_classes, start)
+    return positions, walk, decode
 
 
 def _stop_reason(control: Optional[RuntimeControl], next_instance_index: int) -> Optional[str]:
@@ -390,7 +401,7 @@ def find_counterexample(
     else:
         relevant_tags = frozenset()
     dedupe_order = budget.dedupe_sibling_order and _order_insensitive(tau1, output_type)
-    # Verdict memo (per label tree, see BoundTree.verdict_key): exact only
+    # Verdict memo (per label tree, see BoundTree.step_key): exact only
     # for validators that read nothing but labels, so a callable output
     # type (or a subclass with its own validate), which may inspect data
     # values, always evaluates in full.
@@ -481,7 +492,7 @@ def find_counterexample(
                     # The original run booked this tree with its first counted
                     # candidate; replay that part of the bookkeeping.
                     seen_canonical.add(key)
-            positions, candidates, decode = _value_codes(
+            positions, walk, decode = _value_codes(
                 labels,
                 needs_values,
                 constants,
@@ -534,7 +545,7 @@ def find_counterexample(
                         stats.valued_trees_checked,
                     )
 
-            for codes in candidates:
+            for first, codes in walk:
                 reason = _stop_reason(control, instance_base + stats.valued_trees_checked)
                 if reason is not None:
                     return interrupted(reason, raw_index, values_done)
@@ -551,7 +562,10 @@ def find_counterexample(
                 # The counters move only after the instance is fully processed,
                 # so a failure checkpoint (cursor *at* the failing instance,
                 # instance uncounted) resumes by retrying it — no double count.
-                # Values are decoded only on a memo miss; the valued tree is
+                # The key is computed only here, after the polls, so an
+                # instance that is never processed costs nothing.  A memo
+                # miss selects rows by the key's masks; values are decoded
+                # only to write val(x), and the valued tree is
                 # materialized only off the hot path (error reports,
                 # witnesses) — the cached evaluator works in place.
                 memo_key = None
@@ -561,12 +575,12 @@ def find_counterexample(
                     if timing:
                         t_eval = perf_counter()
                     if passing is not None:
-                        memo_key = bound.verdict_key(codes)
+                        memo_key = bound.step_key(first, codes)
                     hit = memo_key is not None and memo_key in passing
                     if not hit:
                         values = decode(codes)
                         if bound is not None:
-                            output = bound.evaluate(values)
+                            output = bound.evaluate(values, memo_key)
                         else:
                             tree = assign_values(labels, values)
                             output = evaluate(query, tree, telemetry=telemetry)

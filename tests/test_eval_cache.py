@@ -46,6 +46,7 @@ from repro.trees.values import (
     enumerate_value_assignments,
     enumerate_value_codes,
     value_decoder,
+    walk_value_codes,
 )
 from repro.typecheck import (
     EvaluationError,
@@ -63,10 +64,11 @@ _INSTANCES = list(enumerate_instances(TAU1, 5))
 
 
 @st.composite
-def programs(draw):
+def programs(draw, self_comparisons=False):
     """Outermost queries over TAU1 exercising every evaluator feature:
     multi-edge patterns, =/!= conditions (against constants and between
-    variables), tag variables, and a nested query."""
+    variables, and with ``self_comparisons`` a variable against itself),
+    tag variables, and a nested query."""
     edges = [Edge.of(None, "X", draw(st.sampled_from(["a", "b", "a + b", "a.c"])))]
     variables = ["X"]
     if draw(st.booleans()):
@@ -78,7 +80,8 @@ def programs(draw):
         op = draw(st.sampled_from(["=", "!="]))
         right = draw(
             st.sampled_from(
-                [Const(1), Const("x"), Const("_v0")] + [v for v in variables if v != left]
+                [Const(1), Const("x"), Const("_v0")]
+                + [v for v in variables if v != left or self_comparisons]
             )
         )
         conditions.append(Condition(left, op, right))
@@ -100,6 +103,8 @@ def programs(draw):
                         (Condition("Y", "!=", "X"),),
                         (Condition("Y", "=", "X"),),
                     ]
+                    + [(Condition("Y", "!=", "Y"), Condition("X", "=", "X"))]
+                    * self_comparisons
                 )
             )
             inner_where = Where.of("root", [Edge.of("X", "Y", "c")], inner_conditions)
@@ -466,6 +471,104 @@ def test_nested_restrictions_enter_the_verdict_key():
         _assert_keys_fix_shapes(query, labels)
 
 
+def _decoder(labels, positions, constants, max_classes):
+    """The search's decoder: slot codes to a document-order value vector,
+    a distinct filler on every node without a slot."""
+    table = value_decoder(len(positions), constants, max_classes)
+
+    def decode(codes):
+        values = [f"_u{i}" for i in range(labels.size())]
+        for i, code in zip(positions, codes):
+            values[i] = table[code]
+        return tuple(values)
+
+    return decode
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    programs(self_comparisons=True),
+    st.integers(min_value=0, max_value=len(_INSTANCES) - 1),
+    st.sampled_from([None, 1, 2]),
+)
+def test_keyed_walk_matches_the_from_scratch_oracle(query, tree_idx, max_classes):
+    _assert_keyed_walk_matches(query, _INSTANCES[tree_idx], max_classes)
+
+
+@pytest.mark.parametrize("max_classes", [None, 1, 2])
+def test_keyed_walk_matches_the_oracle_on_every_tree(max_classes):
+    """The same check, deterministic: a variable-variable ``!=`` and a
+    nested query with its own condition, on every label tree."""
+    for query in (_memo_query(), _nested_condition_query()):
+        for labels in _INSTANCES:
+            _assert_keyed_walk_matches(query, labels, max_classes)
+
+
+def _nested_condition_query() -> Query:
+    """Outer ``X != Z`` between two pattern variables and a nested query
+    whose own condition compares its variable with the outer one."""
+    inner = Query(
+        where=Where.of("root", [Edge.of("X", "Y", "c")], [Condition("Y", "=", "X")]),
+        construct=ConstructNode("leaf", ("X", "Y")),
+        free_vars=("X",),
+    )
+    return Query(
+        where=Where.of(
+            "root",
+            [Edge.of(None, "X", "a"), Edge.of(None, "Z", "a + b")],
+            [Condition("X", "!=", "Z")],
+        ),
+        construct=ConstructNode(
+            "out", (), (ConstructNode("item", ("X",), (NestedQuery(inner, ("X",)),)),)
+        ),
+    )
+
+
+def _assert_keyed_walk_matches(query, labels, max_classes):
+    """The walk yields exactly the code stream from every start, the
+    incremental key of each vector equals ``verdict_key`` recomputed from
+    scratch, and a memo miss that selects rows by that key's masks gives
+    the reference evaluator's output node for node."""
+    compiled = compiled_query_for(query, TAU1.alphabet)
+    relevant = compiled.relevant_tags
+    positions = [
+        i for i, n in enumerate(labels.nodes()) if relevant is None or n.label in relevant
+    ]
+    n_constants = len(compiled.constants)
+    codes = list(enumerate_value_codes(len(positions), n_constants, max_classes))
+    bound = compiled.bind(labels, None, positions)
+    keyed = compiled.needs_values
+    # From every start: the first vector comes marked 0 (the key starts
+    # afresh, as a resumed search's does), the next few step from it.
+    for start in range(len(codes) + 1):
+        head = list(
+            itertools.islice(
+                walk_value_codes(len(positions), n_constants, max_classes, start), 4
+            )
+        )
+        assert [c for _, c in head] == codes[start : start + 4]
+        assert not head or head[0][0] == 0
+        if keyed:
+            for first, c in head:
+                assert bound.step_key(first, c) == bound.verdict_key(c)
+    if not keyed:
+        assert bound.passing is None
+        return
+    decode = _decoder(labels, positions, compiled.constants, max_classes)
+    walk = walk_value_codes(len(positions), n_constants, max_classes)
+    for first, c in itertools.islice(walk, 400):
+        key = bound.step_key(first, c)
+        assert key == bound.verdict_key(c)
+        values = decode(c)
+        reference = evaluate(query, assign_values(labels, values))
+        got = bound.evaluate(values, key)
+        if reference is None:
+            assert got is None
+        else:
+            assert got is not None
+            assert got.root.structure_key() == reference.root.structure_key()
+
+
 def _memo_query() -> Query:
     """Two pattern variables and two conditions: many assignments, few
     distinct sets of surviving rows."""
@@ -485,9 +588,9 @@ def evaluate_calls(monkeypatch):
     calls = []
     original = BoundTree.evaluate
 
-    def counting(self, values):
+    def counting(self, *args, **kwargs):
         calls.append(1)
-        return original(self, values)
+        return original(self, *args, **kwargs)
 
     monkeypatch.setattr(BoundTree, "evaluate", counting)
     return calls
@@ -561,6 +664,71 @@ def test_evaluator_fault_on_a_memo_hit_resumes_to_identical_totals():
     )
     assert resumed.verdict is straight.verdict
     assert _stat_triple(resumed) == _stat_triple(straight)
+
+
+def _keyed_search(output_type=R_TAU2, **kw):
+    """A small ``X = 1 and X != Y`` search through the incremental keys."""
+    return find_counterexample(
+        _memo_query(), SF_TAU1, output_type, budget=SearchBudget(max_size=4), **kw
+    )
+
+
+@pytest.mark.parametrize(
+    "output_type",
+    [R_TAU2, DTD("out", {"out": "item?"})],
+    ids=["passes", "fails-at-27"],
+)
+def test_interrupt_at_every_instance_resumes_to_identical_totals(output_type):
+    """Each interruption index is a resume point, most of them mid-tree:
+    the resumed walk starts at ``start > 0`` and its first key is built
+    from scratch."""
+    straight = _keyed_search(output_type)
+    off = _keyed_search(output_type, use_eval_cache=False)
+    assert straight.verdict is off.verdict
+    assert straight.counterexample == off.counterexample
+    assert _stat_triple(straight) == _stat_triple(off)
+    mid_tree = 0
+    for n in range(straight.stats.valued_trees_checked):
+        control = RuntimeControl(faults=FaultInjector(FaultPlan(cancel_after_instances=n)))
+        interrupted = _keyed_search(output_type, control=control)
+        assert interrupted.verdict is Verdict.INTERRUPTED
+        assert interrupted.stats.valued_trees_checked == n
+        mid_tree += interrupted.checkpoint.values_done > 0
+        resumed = _keyed_search(output_type, resume_from=interrupted.checkpoint)
+        assert resumed.verdict is straight.verdict
+        assert resumed.counterexample == straight.counterexample
+        assert _stat_triple(resumed) == _stat_triple(straight)
+    assert mid_tree > 0
+
+
+def test_evaluator_fault_on_a_memo_miss_resumes_to_identical_totals(monkeypatch):
+    # The instances that reach BoundTree.evaluate are the memo misses;
+    # on_tick names the instance being processed.
+    ticks: list[int] = []
+    misses: list[int] = []
+    original = BoundTree.evaluate
+
+    def spy(self, *args, **kwargs):
+        misses.append(ticks[-1])
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(BoundTree, "evaluate", spy)
+    straight = _keyed_search(control=RuntimeControl(on_tick=ticks.append))
+    monkeypatch.undo()
+    assert 0 < len(misses) < straight.stats.valued_trees_checked
+    for miss in misses:
+        control = RuntimeControl(faults=FaultInjector(FaultPlan(fail_instances={miss})))
+        with pytest.raises(EvaluationError) as err:
+            _keyed_search(control=control)
+        if err.value.checkpoint.values_done > 0:
+            break  # a miss mid-tree: the resume seeks into the walk
+    assert err.value.instance_index == miss
+    assert control.faults.failures_fired == 1
+    assert err.value.checkpoint.values_done > 0
+    resumed = _keyed_search(resume_from=err.value.checkpoint)
+    off = _keyed_search(use_eval_cache=False)
+    assert resumed.verdict is straight.verdict is off.verdict
+    assert _stat_triple(resumed) == _stat_triple(straight) == _stat_triple(off)
 
 
 def _reference_assignments(n_nodes, constants=(), max_classes=None):

@@ -31,6 +31,7 @@ import pytest
 
 from repro.ql.ast import Condition, Const, ConstructNode, Edge, Query, Where
 from repro.ql.serde import query_to_dict
+from repro.runtime.checkpoint import load_checkpoint
 from repro.runtime.faults import IO_CRASH_EXIT
 from repro.service import EXIT_DRAINED
 from repro.service.scheduler import parse_submission
@@ -197,12 +198,13 @@ def test_kill_restart_reaches_identical_verdict(spawn, point, reference):
     assert revived.wait() == EXIT_DRAINED
 
 
-def test_worker_crash_storm_converges(spawn, reference):
+def test_worker_crash_storm_converges(spawn, reference, tmp_path):
     """Three consecutive servers each die at their first preemption;
     every incarnation still makes checkpointed progress, and a fourth,
     healthy server finishes the job exactly."""
     status, body, _ = None, None, None
     job_id = None
+    checked = 0
     for round_no in range(3):
         server = spawn("--inject-service-fault", "preempt:0:crash")
         if job_id is None:
@@ -210,6 +212,18 @@ def test_worker_crash_storm_converges(spawn, reference):
             assert status == 202, body
             job_id = body["id"]
         assert server.wait() == IO_CRASH_EXIT, f"round {round_no}: {server.log()}"
+        # The storm only means something while the job outlasts a slice
+        # in every incarnation: each one must leave a checkpoint further
+        # along, and none may have finished the search.  A faster engine
+        # breaks this before it breaks anything else — grow WORKLOAD.
+        checkpoint = load_checkpoint(str(tmp_path / "data" / f"{job_id}.ckpt"))
+        now = int(checkpoint.stats["valued_trees_checked"])
+        assert checked < now < reference.stats.valued_trees_checked, (
+            f"round {round_no}: checkpoint at {now} instances after {checked}, of "
+            f"{reference.stats.valued_trees_checked}; WORKLOAD no longer spans "
+            "several slices per incarnation"
+        )
+        checked = now
 
     healthy = spawn()
     job = wait_terminal(healthy.port, job_id)
